@@ -2,8 +2,8 @@
 """Simulator performance tracker.
 
 Times the three substrate microbenchmarks (engine tick throughput,
-perf-account hook overhead, small-HPL simulation rate) on every engine
-(``ticks``, ``macro``, ``events``) and writes ``BENCH_simulator.json``
+perf-account hook overhead, small-HPL simulation rate) on both engines
+(``ticks``, ``events``) and writes ``BENCH_simulator.json``
 at the repo root so future PRs can track the perf trajectory::
 
     PYTHONPATH=src python benchmarks/run_bench.py
@@ -13,7 +13,7 @@ Each timing is the **median** of ``--rounds`` measured rounds after
 for allocator warmup, code-object caching and branch training, and a
 mean over them produced nonsense like *negative* trace overhead in
 earlier baselines.  Within a benchmark the engine variants are timed in
-**interleaved** rounds (ticks, macro, events, traced, repeat) so slow
+**interleaved** rounds (ticks, events, traced, repeat) so slow
 host drift — thermal/turbo state, background load — cancels out of the
 cross-engine ratios instead of biasing whichever variant ran last.
 
@@ -62,9 +62,8 @@ RATES = constant_rates(
 MACHINE = "raptor-lake-i7-13700"
 
 #: The engine matrix, slowest first.  "ticks" is the plain single-tick
-#: loop, "macro" the record/replay fast path, "events" the event-driven
-#: core.
-ENGINES = ("ticks", "macro", "events")
+#: loop, "events" the event-driven core.
+ENGINES = ("ticks", "events")
 
 #: A measured speedup may sit this fraction below the recorded floor
 #: before --check-regression fails: the floor is set from a quiet-host
@@ -399,17 +398,14 @@ def main(argv=None) -> int:
         results[name] = {
             "seed_s": SEED_BASELINE_S[name],
             "ticks_s": med["ticks"],
-            "macro_s": med["macro"],
             "events_s": med["events"],
             "traced_s": med["traced"],
-            "macro_vs_ticks": med["ticks"] / med["macro"],
             "events_vs_ticks": med["ticks"] / med["events"],
             "speedup_vs_seed": SEED_BASELINE_S[name] / best,
             "trace_on_overhead": med["traced"] / med["events"] - 1.0,
         }
         print(
             f"{name:28s} ticks {med['ticks'] * 1e3:8.3f} ms  "
-            f"macro {med['macro'] * 1e3:8.3f} ms  "
             f"events {med['events'] * 1e3:8.3f} ms  "
             f"traced {med['traced'] * 1e3:8.3f} ms  "
             f"{results[name]['speedup_vs_seed']:6.1f}x vs seed"
@@ -421,7 +417,6 @@ def main(argv=None) -> int:
         "unit": "seconds (median wall time of warmed rounds)",
         "engines": {
             "ticks": "Machine(engine='ticks') — plain single-tick loop",
-            "macro": "Machine(engine='macro') — macro-tick record/replay",
             "events": "Machine(engine='events') — event-driven core",
         },
         "traced": "Machine(engine='events', trace=True) — full tracing on",

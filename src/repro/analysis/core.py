@@ -3,7 +3,7 @@
 The analyzer enforces, *before* anything runs, the two invariant
 families the rest of the stack only checks dynamically:
 
-* **determinism** — the bit-identity guarantees (fastpath parity,
+* **determinism** — the bit-identity guarantees (engine parity,
   checkpoint/restore) hold only if no sim-layer code consults wall
   clocks, OS entropy, the process-global ``random`` module, or
   PYTHONHASHSEED-sensitive iteration order;

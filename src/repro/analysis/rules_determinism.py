@@ -1,6 +1,6 @@
 """Determinism rules.
 
-Bit-identical replay (fastpath parity, checkpoint/restore) holds only if
+Bit-identical replay (engine parity, checkpoint/restore) holds only if
 the simulation layers are closed over their seeds: no wall clock, no OS
 entropy, no process-global RNG, no hash-order-dependent iteration, no
 identity-based ordering.  These rules fence those layers statically.

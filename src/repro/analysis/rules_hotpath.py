@@ -31,9 +31,9 @@ from repro.analysis.core import Finding, Rule, Severity, SourceModule, register
 
 #: root-relative path -> qualnames of the engine hot-path functions.
 #: The tick itself, the per-thread slice executor and accounting flush,
-#: the macro-tick replay inner loops, and the event engine's span
-#: drivers — everything executed per simulated tick (or per replayed /
-#: leapt tick) on the measured configurations.
+#: and the event engine's replay and span drivers — everything executed
+#: per simulated tick (or per replayed / leapt tick) on the measured
+#: configurations.
 HOT_PATHS: dict[str, frozenset[str]] = {
     "src/repro/sim/engine.py": frozenset(
         {
@@ -43,14 +43,10 @@ HOT_PATHS: dict[str, frozenset[str]] = {
             "Machine._rate_vec",
         }
     ),
-    "src/repro/sim/fastpath.py": frozenset(
-        {
-            "_Batch.guards_hold",
-            "_Batch.apply_tick",
-        }
-    ),
     "src/repro/sim/events.py": frozenset(
         {
+            "_Span.guards_hold",
+            "_Span.apply_tick",
             "_Span.horizon",
             "_Span.drive",
             "_Span.drive_until",

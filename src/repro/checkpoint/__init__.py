@@ -2,7 +2,7 @@
 
 The contract: for any deterministic workload, *restore-then-run is
 bit-identical to run-straight-through* — counters, sampler traces, HPL
-results — on both the slow-path and macro-tick engines, with or without
+results — on both the ``ticks`` and ``events`` engines, with or without
 an active fault plan.  ``System.save(path)`` / ``System.restore(path)``
 are the user-facing entry points; this package provides the machinery:
 

@@ -3,7 +3,7 @@
 ``state_digest(obj)`` walks the same object graph a snapshot serializes
 (honouring every layer's ``__getstate__`` cache exclusions) and folds it
 into one SHA-256.  Two object graphs digest equal iff they are
-bit-identical on the snapshot surface — which is what the fast-path
+bit-identical on the snapshot surface — which is what the engine
 parity and chaos-survivor guarantees actually promise — so a test can
 assert one digest equality instead of enumerating fields.
 

@@ -77,7 +77,7 @@ def snapshot_surface(
     ``digest_exclude`` names attributes that *are* serialized (they must
     survive a restore — e.g. which engine path to use) but are
     configuration rather than machine state, so ``state_digest`` ignores
-    them: a fast-path and a slow-path run of the same workload digest
+    them: an ``events`` and a ``ticks`` run of the same workload digest
     equal.
     """
 

@@ -4,7 +4,7 @@ Build a :class:`FaultPlan` (by hand or from a seed via
 :meth:`FaultPlan.random`), then attach it to a running
 :class:`~repro.system.System` with :class:`FaultInjector` (or
 ``System.inject_faults``).  Faults fire from the engine tick loop with
-slow-path/fast-path parity guaranteed by the injector's batch guards.
+``ticks``/``events`` engine parity guaranteed by the injector's span guards.
 """
 
 from repro.faults.injector import FaultInjector

@@ -1,21 +1,21 @@
 """Executes a :class:`~repro.faults.plan.FaultPlan` from the tick loop.
 
-The injector is a fastpath-safe tick hook.  Correctness under the
-macro-tick engine hinges on when faults fire relative to replayed ticks:
+The injector is a replay-safe tick hook.  Correctness under the event
+engine hinges on when faults fire relative to replayed ticks:
 
 * **Timed injections** fire in the end-of-tick hook of the first tick
-  whose end time reaches ``at_s`` — exactly as on the slow path.  During
-  a macro-tick batch hooks do not run, so the injector plants the next
-  due time as an analytic guard (``TickRecorder.time_guards``) that
-  breaks the batch one tick *before* a timed fault comes due; the engine
-  falls back to a full tick and the hook fires the fault there,
-  bit-identically to a slow run.  (With conditional injections also
-  pending, the opaque batch guard below takes over both duties.)
-* **Conditional injections** (``when`` predicates) fire from the batch
+  whose end time reaches ``at_s`` — exactly as under ``ticks``.  During
+  a replayed span hooks do not run, so the injector plants the next due
+  time as an analytic guard (``TickRecorder.time_guards``) that ends
+  the span one tick *before* a timed fault comes due; the engine falls
+  back to a full tick and the hook fires the fault there,
+  bit-identically to a ``ticks`` run.  (With conditional injections
+  also pending, the opaque span guard below takes over both duties.)
+* **Conditional injections** (``when`` predicates) fire from the span
   guard itself.  The guard is evaluated between replayed ticks, at
-  exactly the machine state the slow path's end-of-tick hook would see,
-  so firing there (and breaking the batch) keeps the two paths
-  bit-identical.
+  exactly the machine state the ``ticks`` engine's end-of-tick hook
+  would see, so firing there (and ending the span) keeps the two
+  engines bit-identical.
 
 Any firing also kills a live recorder: a tick that mutates hotplug,
 perf, or sensor state is never a steady tick.
@@ -185,7 +185,7 @@ class FaultInjector:
     def _trace(self, name: str, fault, **extra) -> None:
         """Emit one ("fault", name) event.  Firings always kill a live
         recorder (a fault tick is never steady), so emission is
-        fastpath-parity-safe."""
+        engine-parity-safe."""
         tr = self.machine.tracer
         if tr is None or not tr.fault:
             return

@@ -70,9 +70,9 @@ class DvfsGovernor:
         """
         if len(cluster_util) != len(self.topology.clusters):
             raise ValueError("one utilization value per cluster required")
-        # The governor runs live on every tick of both engine paths
-        # (macro-tick replay steps it too), so frequency-change events
-        # are emitted at identical sim times under either path.
+        # The governor runs live on every tick of both engines (span
+        # replay steps it too), so frequency-change events are emitted
+        # at identical sim times under either engine.
         tr = self.tracer
         if tr is not None and not tr.dvfs:
             tr = None

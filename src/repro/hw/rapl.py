@@ -136,8 +136,8 @@ class RaplPackage:
         self.package.accumulate(package_w, dt_s)
         self.cores.accumulate(cores_w, dt_s)
         self.dram.accumulate(dram_w, dt_s)
-        # RAPL steps run live on both engine paths, so the periodic
-        # energy samples land at identical sim times under either path.
+        # RAPL steps run live on both engines, so the periodic energy
+        # samples land at identical sim times under either engine.
         tr = self.tracer
         if tr is not None and not tr.rapl:
             tr = None

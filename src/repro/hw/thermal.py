@@ -132,8 +132,8 @@ class ThermalModel:
         self.temp_c += dTdt * dt_s
         self.temp_c = max(spec.ambient_c, self.temp_c)
         self.zone.temp_c = self.temp_c
-        # Thermal steps run live on both engine paths; trip-crossing
-        # events are therefore emitted at path-identical sim times.
+        # Thermal steps run live on both engines; trip-crossing events
+        # are therefore emitted at engine-identical sim times.
         tr = self.tracer
         if tr is not None and tr.thermal:
             trip = spec.thermal_trip_c
@@ -156,9 +156,9 @@ class ThermalModel:
     def _note_scale(self, i: int, new: float) -> None:
         """Update one cluster's throttle scale, tracing the transitions.
 
-        ``apply_throttling`` runs live on both engine paths (macro-tick
-        replay steps it too), so begin/end events land at identical sim
-        times regardless of the fastpath setting.
+        ``apply_throttling`` runs live on both engines (span replay
+        steps it too), so begin/end events land at identical sim times
+        regardless of the engine.
         """
         old = self._scale[i]
         tr = self.tracer

@@ -249,7 +249,7 @@ class KernelPerfEvent:
 
         Trace emission is parity-safe by construction: a sampling
         event's accrual marks the tick recorder unsteady, so ticks that
-        emit samples are never macro-tick-replayed.
+        emit samples are never replayed.
         """
         period = float(self.attr.sample_period)
         while self.count >= self._next_overflow:

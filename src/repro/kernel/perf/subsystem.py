@@ -158,14 +158,14 @@ class PerfSubsystem:
         # Trace-emission dedup state: last emitted rotation slot per
         # (tid, pmu type) and current PMU-mismatch flag per event id.
         # Events fire only on transitions, which by construction happen
-        # on ticks the macro-tick engine runs live (see repro.trace).
+        # on ticks the event engine runs live (see repro.trace).
         self._mux_traced: dict[tuple[int, int], int] = {}
         self._mismatch_traced: dict[int, bool] = {}
         machine.account_hooks.append(self._account)
         machine.tick_hooks.append(self._on_tick)
         machine.hotplug_hooks.append(self._on_hotplug)
         # Both hooks record their per-tick effects through the tick
-        # recorder, so the macro-tick engine may batch over them.
+        # recorder, so the event engine may replay over them.
         machine.mark_hook_fastpath_safe(self._account)
         machine.mark_hook_fastpath_safe(self._on_tick)
 

@@ -199,7 +199,7 @@ class Scheduler:
         # migrations by diffing against the previous tick.  Trace events
         # fire only on *placement changes* (never on the per-tick
         # timesharing switch accounting): steady placements must stay
-        # silent so a macro-tick replay — which skips the scheduler —
+        # silent so a replayed span — which skips the scheduler —
         # emits the same event sequence as single-stepping.
         tr = self.tracer
         if tr is not None and not tr.sched:

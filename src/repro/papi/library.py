@@ -100,8 +100,8 @@ class Papi:
         Values are sanitized for the exporters: non-finite floats (NaN
         reads after sensor dropouts) become ``None`` so dumps stay
         strict JSON and compare equal across runs.  PAPI calls happen
-        between ticks (control operations kill any pending macro-tick
-        batch), so emission is fastpath-parity-safe by construction.
+        between ticks (control operations kill any pending tick
+        recording), so emission is engine-parity-safe by construction.
         """
         tr = self.system.machine.tracer
         if tr is None or not tr.papi:
@@ -496,7 +496,7 @@ class Papi:
 
         self.system.machine.tick_hooks.append(drain)
         # Sampling accruals mark the tick recorder unsteady, so a steady
-        # macro-tick batch can never have pending samples for drain to
+        # replayed span can never have pending samples for drain to
         # deliver — skipping it during replay is a no-op.
         self.system.machine.mark_hook_fastpath_safe(drain)
 

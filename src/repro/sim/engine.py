@@ -30,22 +30,18 @@ programs.
 Engines
 -------
 
-Three interchangeable engines drive the loop (``Machine(engine=...)``):
+Two interchangeable engines drive the loop (``Machine(engine=...)``):
 
-* ``"ticks"`` — the plain single-tick loop above; the reference.
-* ``"macro"`` — the steady-state macro-tick engine in
-  :mod:`repro.sim.fastpath`: record one tick, replay it while guards
-  hold, polling every guard between replays.
-* ``"events"`` — the event-driven engine in :mod:`repro.sim.events`:
-  the recorded guards become a queue of pending events (phase change,
-  mux rotation, wake-up, timed fault, overflow crossing) and the span
-  leaps straight to the earliest one, plus sticky-placement scheduling
-  reuse and adaptive record back-off.
+* ``"events"`` (the default) — the event-driven engine in
+  :mod:`repro.sim.events`: record one steady tick, then turn its replay
+  guards into a queue of pending events (phase change, mux rotation,
+  wake-up, timed fault, overflow crossing) and leap straight to the
+  earliest one, plus sticky-placement scheduling reuse and adaptive
+  record back-off.
+* ``"ticks"`` — the plain single-tick loop above; the reference oracle.
 
-All three produce bit-identical state (gated by the engine parity
-matrix in ``tests/test_fastpath_parity.py``).  The legacy ``fastpath``
-bool maps True -> "macro", False -> "ticks" when ``engine`` is not
-given.
+Both produce bit-identical state (gated by the engine parity matrix in
+``tests/test_fastpath_parity.py``).
 """
 
 from __future__ import annotations
@@ -153,14 +149,13 @@ class SimTimeout(RuntimeError):
         "hotplug_hooks",
         "last_power",
         "last_checkpoint_path",
-        "fastpath",
         "engine",
         "tracer",
         "_next_tid",
         "_tid_index",
         "_busy",
         "_spin",
-        "_fastpath_engine",
+        "_event_engine",
         "_fastpath_safe_hooks",
     ),
     caches=(
@@ -172,9 +167,8 @@ class SimTimeout(RuntimeError):
     ),
     rebuild="_init_snapshot_caches",
     digest_exclude=(
-        "fastpath",
         "engine",
-        "_fastpath_engine",
+        "_event_engine",
         "last_checkpoint_path",
         "tracer",
     ),
@@ -196,16 +190,11 @@ class Machine:
         seed: int = 0,
         migrate_jitter: float = 0.0,
         rebalance_jitter: float = 0.0,
-        fastpath: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "events",
         trace=None,
     ):
-        if engine is None:
-            engine = "macro" if fastpath else "ticks"
-        if engine not in ("ticks", "macro", "events"):
-            raise ValueError(
-                f"unknown engine {engine!r}; want 'ticks', 'macro' or 'events'"
-            )
+        if engine not in ("ticks", "events"):
+            raise ValueError(f"unknown engine {engine!r}; want 'ticks' or 'events'")
         self.engine = engine
         self.spec = spec
         self.topology = spec.topology
@@ -239,9 +228,9 @@ class Machine:
         #: Called as ``hook(cpu_id, online)`` after a CPU changes hotplug
         #: state (the perf subsystem parks/resumes events through this).
         self.hotplug_hooks: list[HotplugHook] = []
-        #: Hooks the macro-tick engine may batch over (their per-tick
-        #: effects are fully captured by the tick recorder).  Hooks not
-        #: registered here disable macro-ticking, never correctness.
+        #: Hooks the event engine may replay over (their per-tick effects
+        #: are fully captured by the tick recorder).  Hooks not
+        #: registered here disable recording, never correctness.
         self._fastpath_safe_hooks: list = []
         self.last_power: Optional[PowerSample] = None
         # The TSC / architectural timer rate (invariant across the package).
@@ -253,28 +242,23 @@ class Machine:
         #: ``System.save``); surfaced by SimTimeout for diagnosability.
         self.last_checkpoint_path: Optional[str] = None
 
-        self.fastpath = engine != "ticks"
-        if engine == "macro":
-            from repro.sim.fastpath import FastPathEngine
-
-            self._fastpath_engine = FastPathEngine(self)
-        elif engine == "events":
+        if engine == "events":
             from repro.sim.events import EventEngine
 
-            self._fastpath_engine = EventEngine(self)
+            self._event_engine = EventEngine(self)
         else:
-            self._fastpath_engine = None
+            self._event_engine = None
 
     def _init_snapshot_caches(self) -> None:
         """(Re)create the cache attributes excluded from snapshots.
 
         Event-rate vector caches are identity-keyed hot memos over a
         value-keyed canonical cache (see ``_rate_vec``); ``_rec`` is the
-        active tick recorder (fast path only; None on every plain tick);
-        ``_sched_cache`` replays provably side-effect-free sticky
-        placements (event engine only — the other engines exercise the
-        scheduler every tick, which is what keeps the cache honest under
-        the parity matrix).
+        active tick recorder (event engine only; None on every plain
+        tick); ``_sched_cache`` replays provably side-effect-free sticky
+        placements (event engine only — the ``ticks`` reference exercises
+        the scheduler every tick, which is what keeps the cache honest
+        under the parity matrix).
         """
         self._rate_vecs_by_id: dict = {}
         self._rate_vecs_by_value: dict = {}
@@ -784,8 +768,8 @@ class Machine:
     # -- convenience runners ---------------------------------------------------
 
     def run_ticks(self, n: int) -> None:
-        if self._fastpath_engine is not None:
-            self._fastpath_engine.run_ticks(n)
+        if self._event_engine is not None:
+            self._event_engine.run_ticks(n)
         else:
             for _ in range(n):
                 self.tick()
@@ -807,8 +791,8 @@ class Machine:
         instead of returning a silently discardable ``False``.
         """
         deadline = self.now_s + max_s
-        if self._fastpath_engine is not None:
-            ok = self._fastpath_engine.run_until(cond, deadline)
+        if self._event_engine is not None:
+            ok = self._event_engine.run_until(cond, deadline)
         else:
             ok = True
             while not cond():

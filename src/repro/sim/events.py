@@ -1,13 +1,33 @@
-"""Event-driven engine: advance straight to the next state-changing event.
+"""Event-driven engine: record one steady tick, leap to the next event.
 
-The macro-tick engine (:mod:`repro.sim.fastpath`) replays a recorded
-steady tick while *polling* every guard between replays — each replayed
-tick re-evaluates every spin condition, compute chain, rotation slot and
-fault deadline even though none of them can fire for thousands of ticks.
-The event engine keeps the same record/replay foundation (a replayed
-tick is the identical sequence of float operations, so all engines
-digest equal) but treats the recorded guards as *event sources*, each
-able to report the number of ticks until it next fires:
+The plain loop executes every tick through the full scheduler / phase /
+accounting machinery.  Most simulated time, however, is spent in *steady
+state*: every thread stays inside the same phase, placements and DVFS
+frequencies do not move, and no wake, RAPL or thermal boundary fires.
+Such a tick is exactly reproducible: its entire effect on the world is a
+fixed set of in-place additions (counter vectors, runtimes, perf-event
+clocks) plus the hardware-controller updates (RAPL, thermal, governor)
+driven by the *same* power sample.
+
+The engine therefore runs a tick with a :class:`TickRecorder` attached.
+The machine marks the recorder dead at the first non-steady event (phase
+boundary, wake, migration, overflow sample); otherwise the recorder ends
+the tick holding
+
+* the ordered list of numeric increments the tick performed
+  (``ops``), each of which is replayed as the *identical* float/int
+  operation on the identical live object — so a replayed tick is
+  bit-for-bit the same as a plain tick;
+* the guards that must hold for the *next* tick to be a repeat: spin/
+  sleep wake conditions still false, compute phases not completing,
+  multiplexing rotation slot unchanged, DVFS frequencies unchanged;
+* the (constant) inputs of the power/thermal/governor step, which is
+  replayed *live* on the real objects because RAPL and thermal state are
+  genuine per-tick recurrences.
+
+Rather than polling every guard between replays, a :class:`_Span`
+treats the recorded guards as *event sources*, each able to report the
+number of ticks until it next fires:
 
 * **workload phase change** — a compute chain's remaining instructions
   divided by its per-tick retirement;
@@ -22,19 +42,19 @@ able to report the number of ticks until it next fires:
 * **DVFS/thermal transition** — frequency moves are detected by the
   replay itself (the hardware recurrence runs live every tick).
 
-A span drains a deterministic queue of these pending events: it leaps
-guard-free to a conservative bound just short of the earliest event,
-then polls tick-by-tick through the boundary so the event fires on
-exactly the same tick as the single-tick engine.  Rate-based bounds
-(compute, mux, overflow) are shaved by ``_SLACK`` to stay provably below
-the crossing despite float rounding in the replayed accumulations;
-grid-time bounds (wake, fault) are exact.  Opaque predicates — spin
-``until`` conditions, conditional faults, ``run_until``'s caller
-condition — cannot report a horizon and degrade that span to the
-macro-tick engine's per-tick polling.
+A span leaps guard-free to a conservative bound just short of the
+earliest event, then polls tick-by-tick through the boundary so the
+event fires on exactly the same tick as the single-tick engine.
+Rate-based bounds (compute, mux, overflow) are shaved by ``_SLACK`` to
+stay provably below the crossing despite float rounding in the replayed
+accumulations; grid-time bounds (wake, fault) are exact.  Opaque
+predicates — spin ``until`` conditions, conditional faults,
+``run_until``'s caller condition — cannot report a horizon and degrade
+that span to per-tick polling.
 
-Two further optimizations ride on the event queue, both invisible to
-the digest law:
+Recording is only attempted when no unsafe hooks are registered (see
+``Machine.mark_hook_fastpath_safe``) and scheduler jitter is off.  Two
+further optimizations are invisible to the digest law:
 
 * **adaptive record back-off** — recording is pure observation, so after
   a tick whose recorder was killed the engine runs plainly for an
@@ -49,17 +69,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim.fastpath import (
-    MUX_ROTATION_PERIOD_S,
-    TIME_GUARD_EPS,
-    TickRecorder,
-    _Batch,
-    FastPathEngine,
-)
 from repro.sim.workload import SleepPhase
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Machine
+
+#: The multiplexing rotation period, duplicated from the perf subsystem
+#: to avoid an import cycle (asserted equal in the test suite).
+MUX_ROTATION_PERIOD_S = 0.004
+
+#: Slack for float time comparisons against tick boundaries (must match
+#: the fault injector's epsilon: time guards reproduce its batch guard).
+TIME_GUARD_EPS = 1e-12
 
 #: Relative margin shaved off rate-based event horizons.  A replayed
 #: accumulation drifts from ``k * step`` by at most ~``k`` ulps, so any
@@ -71,16 +92,153 @@ _SLACK = 1e-6
 #: valid for astronomically long horizons; the span just leaps again).
 _MAX_LEAP = 10 ** 9
 
-#: Cap on the record back-off (ticks run plainly after a killed
-#: recorder before the next recording attempt).
+#: Cap on the record back-off, in ticks run plainly after a killed
+#: recorder before the next recording attempt.  Attaching a recorder
+#: costs real wall time (guard bookkeeping, per-bucket vector copies in
+#: the accounting flush); during sustained churn — e.g. HPL's
+#: dynamic-claim stage, where some phase boundary fires almost every
+#: tick — that cost buys nothing.
 _BACKOFF_CAP = 32
 
 
-class _Span(_Batch):
+class TickRecorder:
+    """Collects one tick's increments and replay guards."""
+
+    __slots__ = (
+        "unsteady",
+        "ops",
+        "blocked",
+        "spin_guards",
+        "compute_guards",
+        "mux_guards",
+        "time_guards",
+        "overflow_guards",
+        "power_inputs",
+        "freq_before",
+        "freq_after",
+        "_pre_sched",
+        "_rt_incs",
+    )
+
+    def __init__(self):
+        self.unsteady = False
+        # Ordered numeric increments: ("v", array, inc_array) for numpy
+        # in-place adds, ("d", dict, key, inc) for dict-value adds
+        # (attribute adds go through the instance ``__dict__``).
+        self.ops: list[tuple] = []
+        self.blocked: list[tuple] = []          # (thread, SleepPhase|None)
+        self.spin_guards: list = []             # until() callables
+        self.compute_guards: dict = {}          # id(phase) -> [phase, incs...]
+        self.mux_guards: list[tuple] = []       # (thread, rt_incs, slot, n_rot)
+        self.time_guards: list[float] = []      # absolute due times (s)
+        self.overflow_guards: dict = {}         # id(event) -> [event, incs...]
+        self.power_inputs = None                # (sample, activity, other_w, util)
+        self.freq_before: list[float] | None = None
+        self.freq_after: list[float] | None = None
+        self._pre_sched = None
+        # Per-thread runtime increments recorded so far this tick, used to
+        # predict the post-accrual runtime the mux guard must check.
+        self._rt_incs: dict = {}
+
+    # -- cells ---------------------------------------------------------------
+
+    def vec(self, target, inc) -> None:
+        self.ops.append(("v", target, inc))
+
+    def scalar(self, obj, attr: str, inc) -> None:
+        """An add to plain instance attribute ``obj.attr``."""
+        self.ops.append(("d", obj.__dict__, attr, inc))
+
+    def dict_add(self, d: dict, key, inc) -> None:
+        self.ops.append(("d", d, key, inc))
+
+    def rt_add(self, thread, time_s: float) -> None:
+        """A ``total_runtime_s`` increment (tracked for mux guards)."""
+        self.scalar(thread, "total_runtime_s", time_s)
+        lst = self._rt_incs.get(id(thread))
+        if lst is None:
+            self._rt_incs[id(thread)] = [time_s]
+        else:
+            lst.append(time_s)
+
+    def mux_guard(self, thread, slot: int, n_rot: int) -> None:
+        """The rotation slot seen by this tick's perf dispatch must repeat."""
+        incs = tuple(self._rt_incs.get(id(thread), ()))
+        self.mux_guards.append((thread, incs, slot, n_rot))
+
+    def time_guard(self, at_s: float) -> None:
+        """The span must end one tick before absolute time ``at_s``
+        (a timed fault or other scheduled transition comes due there)."""
+        self.time_guards.append(at_s)
+
+    def overflow_step(self, event, inc: float) -> None:
+        """An armed sampling event's count grew without crossing its
+        threshold; replayed ticks repeat ``inc`` and must stop one tick
+        before ``event.count`` reaches ``event._next_overflow``."""
+        guard = self.overflow_guards.get(id(event))
+        if guard is None:
+            self.overflow_guards[id(event)] = [event, inc]
+        else:
+            guard.append(inc)
+
+    # -- engine callbacks ----------------------------------------------------
+
+    def kill(self, machine: "Machine") -> None:
+        """Mark this tick non-replayable and stop recording."""
+        self.unsteady = True
+        machine._rec = None
+
+    def compute_step(self, phase, executed: float) -> None:
+        guard = self.compute_guards.get(id(phase))
+        if guard is None:
+            self.compute_guards[id(phase)] = [phase, executed]
+        else:
+            guard.append(executed)
+
+    def spin_step(self, thread, until, time_s: float) -> None:
+        self.spin_guards.append(until)
+        self.scalar(thread, "spin_time_s", time_s)
+
+    def note_pre_schedule(self, scheduler, runnable) -> None:
+        self._pre_sched = (
+            scheduler.total_switches,
+            [(t.cpu, t.last_cpu, t.nr_switches, t.nr_migrations) for t in runnable],
+        )
+
+    def note_post_schedule(self, machine: "Machine", scheduler, runnable) -> None:
+        total_switches0, before = self._pre_sched
+        for t, (cpu0, last_cpu0, sw0, mig0) in zip(runnable, before):
+            if t.cpu != cpu0 or t.last_cpu != last_cpu0 or t.nr_migrations != mig0:
+                self.kill(machine)  # migration / fresh placement
+                return
+            if t.nr_switches != sw0:
+                self.scalar(t, "nr_switches", t.nr_switches - sw0)
+        if scheduler.total_switches != total_switches0:
+            self.scalar(
+                scheduler,
+                "total_switches",
+                scheduler.total_switches - total_switches0,
+            )
+
+    def steady(self) -> bool:
+        return (
+            not self.unsteady
+            and self.power_inputs is not None
+            and self.freq_before is not None
+            and self.freq_before == self.freq_after
+        )
+
+
+class _Span:
     """One recorded steady tick driven by its pending-event queue."""
 
     def __init__(self, machine: "Machine", rec: TickRecorder):
-        super().__init__(machine, rec)
+        self.m = machine
+        self.rec = rec
+        self.freq_expect = rec.freq_after
+        # Flatten compute/overflow guard chains once.
+        self.computes = list(rec.compute_guards.values())
+        self.overflows = list(rec.overflow_guards.values())
         # Opaque predicates force per-tick polling for the whole span.
         polling = bool(rec.spin_guards)
         if not polling:
@@ -89,6 +247,82 @@ class _Span(_Batch):
                     polling = True
                     break
         self.polling = polling
+
+    # -- one replayed tick ---------------------------------------------------
+
+    def guards_hold(self) -> bool:
+        """True if the next tick would repeat the recorded one exactly."""
+        rec = self.rec
+        now_s = self.m.clock.now_s
+        if rec.time_guards:
+            due = now_s + self.m.clock.dt_s + TIME_GUARD_EPS
+            for at_s in rec.time_guards:
+                if at_s <= due:
+                    return False
+        for t, phase in rec.blocked:
+            if isinstance(phase, SleepPhase) and phase.until is not None:
+                if phase.until():
+                    return False
+            if t.wake_at_s is not None and now_s >= t.wake_at_s:
+                return False
+            if not isinstance(phase, SleepPhase):
+                return False  # would wake unconditionally
+        for until in rec.spin_guards:
+            if until():
+                return False
+        for chain in self.computes:
+            r = chain[0].remaining
+            for e in chain[1:]:
+                if r < e:
+                    return False  # would execute less and complete
+                r = r - e
+                if r <= 0.0:
+                    return False  # would complete exactly
+        for thread, rt_incs, slot, n_rot in rec.mux_guards:
+            r = thread.total_runtime_s
+            for inc in rt_incs:
+                r = r + inc
+            if int(r / MUX_ROTATION_PERIOD_S) % n_rot != slot:
+                return False
+        for chain in self.overflows:
+            event = chain[0]
+            threshold = event._next_overflow
+            if threshold is None:
+                continue
+            c = event.count
+            for inc in chain[1:]:
+                c = c + inc
+            if c >= threshold:
+                return False  # next tick would cross and emit a sample
+        return True
+
+    def apply_tick(self) -> bool:
+        """Replay the recorded tick; returns False if the span must end
+        afterwards (DVFS frequency moved for the next tick)."""
+        m = self.m
+        rec = self.rec
+        for op in rec.ops:
+            if op[0] == "v":
+                target = op[1]
+                target += op[2]
+            else:
+                _, d, key, inc = op
+                d[key] = d[key] + inc
+        for chain in self.computes:
+            phase = chain[0]
+            r = phase.remaining
+            for e in chain[1:]:
+                r = r - e
+            phase.remaining = r
+        sample, cluster_activity, other_w, cluster_util = rec.power_inputs
+        dt = m.clock.dt_s
+        m.last_power = sample
+        m.rapl.step(m.governor, sample.package_w, sample.cores_w, sample.dram_w, dt)
+        m.thermal.step(sample.package_w, dt)
+        m.thermal.apply_throttling(m.governor, cluster_activity, other_w, dt)
+        m.governor.update(cluster_util)
+        m.clock.advance()
+        return m.governor.freq_mhz == self.freq_expect
 
     # -- the pending-event queue --------------------------------------------
 
@@ -147,6 +381,8 @@ class _Span(_Batch):
             for inc in rt_incs:
                 step += inc
                 v = v + inc
+            if int(v / MUX_ROTATION_PERIOD_S) % n_rot != slot:
+                return 0  # the very next tick already rotates
             if step <= 0.0:
                 continue
             boundary = (int(v / MUX_ROTATION_PERIOD_S) + 1) * MUX_ROTATION_PERIOD_S
@@ -257,9 +493,9 @@ class _Span(_Batch):
 class SchedCache:
     """Replays the scheduler's decision for pure-sticky placements.
 
-    Installed on the machine by the event engine only (the other engines
-    call the scheduler every tick, so a caching bug here is caught by
-    the three-way parity matrix).  A placement is cached only when it is
+    Installed on the machine by the event engine only (the ``ticks``
+    reference calls the scheduler every tick, so a caching bug here is
+    caught by the parity matrix).  A placement is cached only when it is
     provably side-effect-free to repeat: every runnable thread single-
     occupies the CPU it was already on (``cpu == last_cpu``), so the
     scheduler's sticky pass would reproduce it with no switch/migration
@@ -346,8 +582,31 @@ class SchedCache:
         self.valid = True
 
 
-class EventEngine(FastPathEngine):
-    """Routes ``run_ticks``/``run_until`` through event-queue spans."""
+class EventEngine:
+    """Routes ``run_ticks``/``run_until`` through recorded spans."""
+
+    def __init__(self, machine: "Machine"):
+        self.m = machine
+
+    def _record_ok(self) -> bool:
+        m = self.m
+        sched = m.scheduler
+        return (
+            sched.migrate_jitter == 0.0
+            and sched.rebalance_jitter == 0.0
+            and m.hooks_fastpath_safe()
+        )
+
+    def _recorded_tick(self) -> TickRecorder:
+        """Run one full tick with a recorder attached."""
+        m = self.m
+        rec = TickRecorder()
+        m._rec = rec
+        try:
+            m.tick()
+        finally:
+            m._rec = None
+        return rec
 
     def run_ticks(self, n: int) -> None:
         m = self.m
@@ -357,12 +616,7 @@ class EventEngine(FastPathEngine):
         penalty = 1
         while left > 0:
             if left >= 2 and record_ok and backoff == 0:
-                rec = TickRecorder()
-                m._rec = rec
-                try:
-                    m.tick()
-                finally:
-                    m._rec = None
+                rec = self._recorded_tick()
                 left -= 1
                 if not rec.steady():
                     # Hooks can be registered from inside control ops.
@@ -389,12 +643,7 @@ class EventEngine(FastPathEngine):
             if clock.now_s >= deadline:
                 return False
             if record_ok and backoff == 0:
-                rec = TickRecorder()
-                m._rec = rec
-                try:
-                    m.tick()
-                finally:
-                    m._rec = None
+                rec = self._recorded_tick()
                 if not rec.steady():
                     record_ok = self._record_ok()
                     backoff = penalty

@@ -149,7 +149,7 @@ class ChunkStream(WorkPhase):
     ``instructions = max(1.0, take / flops_per_instr)``.
 
     The pool is shared mutable state across threads, so a tick that
-    claims from it is never macro-tick-replayable; the engine kills the
+    claims from it is never replayable; the engine kills the
     tick recorder when a stream executes.  ``on_claimed`` (if given) is
     called once per executed slice with the flops claimed in that slice.
 

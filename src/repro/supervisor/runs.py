@@ -133,7 +133,6 @@ def hpl_run(params: dict, ctx: RunContext) -> dict:
             params.get("machine", "raptor-lake-i7-13700"),
             dt_s=float(params.get("dt_s", 0.01)),
             seed=int(params.get("seed", 0)),
-            fastpath=bool(params.get("fastpath", True)),
         )
         handle = start_hpl(
             system,

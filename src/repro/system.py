@@ -28,8 +28,7 @@ class System:
         migrate_jitter: float = 0.0,
         rebalance_jitter: float = 0.0,
         expose_cpu_types: bool = False,
-        fastpath: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "events",
         trace=None,
     ):
         if isinstance(spec, str):
@@ -47,7 +46,6 @@ class System:
             seed=seed,
             migrate_jitter=migrate_jitter,
             rebalance_jitter=rebalance_jitter,
-            fastpath=fastpath,
             engine=engine,
             trace=trace,
         )
@@ -87,7 +85,6 @@ class System:
             "spec": self.spec.name,
             "sim_time_s": self.machine.now_s,
             "ticks": self.machine.clock.ticks,
-            "fastpath": self.machine.fastpath,
             "engine": self.machine.engine,
             "state_digest": self.state_digest(),
         }
@@ -119,10 +116,9 @@ class System:
     def state_digest(self) -> str:
         """Stable hash over the snapshot surface (see
         :mod:`repro.checkpoint.digest`).  Two systems digest equal iff
-        their observable simulated state is bit-identical; engine-path
-        selection (``engine``/``fastpath``) is excluded, so single-tick,
-        macro-tick and event-driven runs of one workload must digest
-        equal."""
+        their observable simulated state is bit-identical; engine
+        selection (``engine``) is excluded, so single-tick and
+        event-driven runs of one workload must digest equal."""
         from repro.checkpoint.digest import state_digest
 
         return state_digest(self)

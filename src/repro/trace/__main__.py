@@ -33,7 +33,6 @@ def _build_system(ns):
         dt_s=ns.dt_s,
         seed=ns.seed,
         migrate_jitter=ns.migrate_jitter,
-        fastpath=not ns.no_fastpath,
         trace=TraceConfig(categories=categories, capacity=ns.capacity),
     )
 
@@ -107,9 +106,6 @@ def main(argv=None) -> int:
     run.add_argument("--capacity", type=int, default=65536)
     run.add_argument("--chrome", metavar="PATH", help="write Perfetto JSON")
     run.add_argument("--text", metavar="PATH", help="write the text dump")
-    run.add_argument(
-        "--no-fastpath", action="store_true", help="force single-tick stepping"
-    )
     ns = parser.parse_args(argv)
 
     system = _build_system(ns)

@@ -14,14 +14,14 @@ whole stack:
   holder excludes its ``tracer`` from ``state_digest`` — a traced run
   and an untraced run of the same workload digest equal, bit for bit.
 
-* **Fastpath parity.**  The macro-tick engine replays steady ticks
-  without running the scheduler or the perf accrual hooks, so events
-  are either *transition-only* (they can only fire on ticks that break
-  a batch: placement changes, control ops, multiplex slot changes,
-  PMU-mismatch transitions, overflow samples) or emitted from code that
-  runs live during replay (DVFS, thermal, RAPL).  The parity suite
-  asserts ``fastpath=True`` and ``fastpath=False`` produce identical
-  event sequences.
+* **Engine parity.**  The event engine replays steady ticks without
+  running the scheduler or the perf accrual hooks, so events are either
+  *transition-only* (they can only fire on ticks that end a span:
+  placement changes, control ops, multiplex slot changes, PMU-mismatch
+  transitions, overflow samples) or emitted from code that runs live
+  during replay (DVFS, thermal, RAPL).  The parity suite asserts
+  ``engine="events"`` and ``engine="ticks"`` produce identical event
+  sequences.
 
 Events are plain tuples ``(ts_s, category, name, tid, cpu, args)`` —
 ``tid``/``cpu`` are ``None`` when not applicable, ``args`` is ``None``

@@ -286,7 +286,8 @@ def _build_system(
     dt_s: float,
     fault_plan_fn: Optional[FaultPlanFn],
 ) -> tuple[System, Papi]:
-    system = System(machine, dt_s=dt_s, seed=seed, engine=engine)
+    kw = {} if engine is None else {"engine": engine}
+    system = System(machine, dt_s=dt_s, seed=seed, **kw)
     if _selftest_armed():
         _corrupt_branch_miss_decode(system)
     if fault_plan_fn is not None:

@@ -10,10 +10,12 @@ rules.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -47,16 +49,16 @@ def _spawn_workload(system):
 
 
 class TestRestoreEquivalence:
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_restore_then_run_is_bit_identical(self, tmp_path, fastpath):
+    @pytest.mark.parametrize("engine", ["events", "ticks"])
+    def test_restore_then_run_is_bit_identical(self, tmp_path, engine):
         g0 = global_counter_state()
-        straight = System(MACHINE, dt_s=0.001, fastpath=fastpath)
+        straight = System(MACHINE, dt_s=0.001, engine=engine)
         _spawn_workload(straight)
         straight.machine.run_until_done(straight.machine.threads, max_s=10)
         d_straight = straight.state_digest()
 
         set_global_counter_state(g0)
-        snapped = System(MACHINE, dt_s=0.001, fastpath=fastpath)
+        snapped = System(MACHINE, dt_s=0.001, engine=engine)
         _spawn_workload(snapped)
         snapped.machine.run_for(0.05)
         path = str(tmp_path / "mid.snap")
@@ -183,19 +185,24 @@ class TestEnvelope:
             load_object(path)
 
     def test_version_mismatch_raises_version_error(self, tmp_path):
+        # A version-1 payload can pickle an engine class this build no
+        # longer has; the envelope must refuse it by version, before
+        # unpickling could fail with an ImportError.
         path = str(tmp_path / "v.snap")
         save_object({"x": 1}, path)
         with open(path, "rb") as fh:
             magic = fh.readline()
             header = json.loads(fh.readline())
-            payload = fh.read()
-        header["version"] = 999
-        with open(path, "wb") as fh:
-            fh.write(magic)
-            fh.write((json.dumps(header) + "\n").encode())
-            fh.write(payload)
-        with pytest.raises(SnapshotVersionError):
-            load_object(path)
+        payload = zlib.compress(b"\x80\x02crepro.sim.fastpath\nFastPathEngine\n)\x81.")
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        for version in (1, 999):
+            header["version"] = version
+            with open(path, "wb") as fh:
+                fh.write(magic)
+                fh.write((json.dumps(header) + "\n").encode())
+                fh.write(payload)
+            with pytest.raises(SnapshotVersionError):
+                load_object(path)
 
     def test_not_a_snapshot_rejected(self, tmp_path):
         from repro.checkpoint import SnapshotError
@@ -294,8 +301,8 @@ class TestDigest:
         assert state_digest(0.0) != state_digest(-0.0)
 
     def test_digest_excludes_engine_path_but_not_state(self):
-        a = System(MACHINE, dt_s=0.01, fastpath=True)
-        b = System(MACHINE, dt_s=0.01, fastpath=False)
+        a = System(MACHINE, dt_s=0.01, engine="events")
+        b = System(MACHINE, dt_s=0.01, engine="ticks")
         assert a.state_digest() == b.state_digest()
         b.machine.run_for(0.01)
         assert a.state_digest() != b.state_digest()

@@ -156,8 +156,8 @@ class TestDispatchCacheChurn:
         return readings
 
     def test_churn_counts_identical_on_both_paths(self):
-        slow = self._churn(System(MACHINE, dt_s=0.001, fastpath=False))
-        fast = self._churn(System(MACHINE, dt_s=0.001, fastpath=True))
+        slow = self._churn(System(MACHINE, dt_s=0.001, engine="ticks"))
+        fast = self._churn(System(MACHINE, dt_s=0.001, engine="events"))
         assert slow == fast
         assert all(v > 0 for v in slow)
         # Reopened event restarted from zero over an equal interval.

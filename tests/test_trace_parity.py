@@ -1,13 +1,13 @@
 """Trace parity: tracing is a pure observer on both engine paths.
 
-Every scenario runs four ways — ``fastpath`` × ``trace`` — and asserts:
+Every scenario runs four ways — ``engine`` × ``trace`` — and asserts:
 
 * all four runs produce the *same* ``state_digest`` (tracing never
   perturbs simulated state, and the tracer itself is digest-excluded);
-* the fast-path and slow-path traces are **identical event sequences**
+* the ``events`` and ``ticks`` traces are **identical event sequences**
   (same events, same simulated timestamps, same args) — the tentpole
-  contract that lets the macro-tick engine skip the scheduler and the
-  perf accrual hooks during replay without losing events;
+  contract that lets the event engine skip the scheduler and the perf
+  accrual hooks during replay without losing events;
 * workload results (PAPI values) are bit-identical everywhere.
 """
 
@@ -32,7 +32,7 @@ RATES = PhaseRates(
 
 
 def _run_matrix(build, **system_kw):
-    """Run ``build(system) -> result`` under fastpath × trace.
+    """Run ``build(system) -> result`` under engine × trace.
 
     Global counters (the perf event-id allocator) are rewound between
     runs so all four systems hand out identical ids, making digests and
@@ -40,12 +40,12 @@ def _run_matrix(build, **system_kw):
     """
     g0 = global_counter_state()
     out = {}
-    for fastpath in (False, True):
+    for engine in ("ticks", "events"):
         for trace in (False, True):
             set_global_counter_state(g0)
-            system = System(MACHINE, fastpath=fastpath, trace=trace, **system_kw)
+            system = System(MACHINE, engine=engine, trace=trace, **system_kw)
             result = build(system)
-            out[(fastpath, trace)] = (system, result)
+            out[(engine, trace)] = (system, result)
     return out
 
 
@@ -56,10 +56,10 @@ def _assert_parity(runs):
     assert len({repr(r) for r in results.values()}) == 1, (
         f"results diverge: {results}"
     )
-    slow = to_text(runs[(False, True)][0].tracer.events_list())
-    fast = to_text(runs[(True, True)][0].tracer.events_list())
-    assert slow == fast, "fast-path trace differs from slow-path trace"
-    return slow
+    ticks = to_text(runs[("ticks", True)][0].tracer.events_list())
+    events = to_text(runs[("events", True)][0].tracer.events_list())
+    assert ticks == events, "events-engine trace differs from ticks trace"
+    return ticks
 
 
 def _compute_thread(system, instructions=3e9, name="w0", affinity=None):
@@ -73,7 +73,7 @@ def _compute_thread(system, instructions=3e9, name="w0", affinity=None):
 class TestTraceParity:
     def test_steady_papi_counting(self):
         """The hot case: a steady compute phase under a counting
-        EventSet, where the fast path macro-batches almost every tick."""
+        EventSet, where the event engine replays almost every tick."""
 
         def build(system):
             papi = Papi(system)

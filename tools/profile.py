@@ -7,7 +7,7 @@ run_bench.py`` times — and prints a ``pstats`` table sorted by
 cumulative time::
 
     python tools/profile.py hpl --engine events --top 25
-    python tools/profile.py ticks --engine macro --top 40
+    python tools/profile.py ticks --engine ticks --top 40
     python tools/profile.py all
 
 The *workload* is deterministic (a pure function of machine and seed);
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine",
         default="events",
-        choices=("ticks", "macro", "events"),
+        choices=("ticks", "events"),
         help="engine mode to drive the scenario with (default: events)",
     )
     parser.add_argument(

@@ -7,13 +7,13 @@ Runs the workload x machine x event validation matrix (see
     python tools/validate.py                      # all preset machines
     python tools/validate.py --machines raptor-lake-i7-13700
     python tools/validate.py --strict             # any 'broken' -> exit 1
-    python tools/validate.py --engines ticks,macro,events
+    python tools/validate.py --engines events    # one engine only
     python tools/validate.py --json scorecard.json
     python tools/validate.py --selftest           # seeded-bug mutation test
 
-``--engines`` additionally checks that accuracy classes are
-bit-identical across the requested engines (the parity law extended to
-the measurement stack).  ``--selftest`` arms the deliberate kernel
+``--engines`` (default ``ticks,events``) checks that accuracy classes
+are bit-identical across the requested engines (the parity law extended
+to the measurement stack).  ``--selftest`` arms the deliberate kernel
 decode bug behind ``REPRO_VALIDATE_SELFTEST`` and exits 2 unless the
 harness reports it as ``broken`` — a mutation test of the validator.
 """
@@ -50,9 +50,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--engines",
-        default=None,
-        help="comma-separated engines to cross-check (ticks,macro,events); "
-        "default: single auto-selected engine",
+        default="ticks,events",
+        help="comma-separated engines to cross-check (default: ticks,events)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -123,11 +122,7 @@ def main(argv: list[str]) -> int:
     if args.selftest:
         return _run_selftest(args)
 
-    engines = (
-        [e.strip() for e in args.engines.split(",") if e.strip()]
-        if args.engines
-        else [None]
-    )
+    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     summary_rows = []
     cards = {}
     parity_ok = True
