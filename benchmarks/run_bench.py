@@ -192,7 +192,7 @@ def fleet_bench(baseline_path: Path, rounds: int, warmup: int) -> int:
 
     Each round runs the 16-job ``fleet``-preset sweep through the real
     :class:`~repro.supervisor.Supervisor` (subprocess workers, journal,
-    heartbeats — the full service path) into a throwaway directory, and
+    heartbeats — the full supervisor path) into a throwaway directory, and
     times the whole sweep.  Results are merged into the ``fleet``
     section of ``BENCH_simulator.json`` without touching the engine
     numbers.  Fails if the 4-worker pool is not faster than the

@@ -1,24 +1,16 @@
-"""Protocol-exhaustiveness passes over the measurement service.
+"""Protocol exhaustiveness of the sweep journal (``PROTO-JOURNAL``).
 
-The service's correctness contracts live *between* components:
+The journal is a state machine whose two halves live in different
+modules: every record kind any code path appends must be understood by
+replay (``Journal._apply`` raises ``JournalError`` on unknown kinds, so
+an unmatched producer is a latent crash on resume), every declared kind
+must actually be consumed, and a declared-but-never-produced kind is
+dead protocol.
 
-* the **journal state machine** — every record kind any code path
-  appends must be understood by replay (``Journal._apply`` raises
-  ``JournalError`` on unknown kinds, so an unmatched producer is a
-  latent crash on resume), every declared kind must actually be
-  consumed, and a declared-but-never-produced kind is dead protocol;
-* the **wire protocol** — every ``op`` the client can send needs a
-  ``_handle_request`` branch, every reply key the client subscripts
-  must be present in that branch's replies, and error replies must
-  echo the request's correlation fields (``op``/``id``) so a client
-  can match replies to requests.
-
-These are whole-program properties: producers live in ``pool.py`` /
-``queue.py`` / ``service.py``, the consumer in ``journal.py``, the two
-wire endpoints in different modules.  The passes below extract both
-sides syntactically (dict literals, list-append accumulation,
-generator-over-helper-call, ``IfExp`` kinds, helper-returned records)
-and report the asymmetries as ``PROTO-*`` findings.
+Producers live in ``pool.py`` / ``queue.py`` / ``supervisor.py``, the
+consumer in ``journal.py``.  The pass extracts both sides syntactically
+(dict literals, list-append accumulation, generator-over-helper-call,
+``IfExp`` kinds, helper-returned records) and reports the asymmetries.
 """
 
 from __future__ import annotations
@@ -292,202 +284,3 @@ class JournalProtocolRule(ProgramRule):
                 "ever appends it (dead protocol)",
                 severity=Severity.WARNING,
             )
-
-
-# -- wire-protocol exhaustiveness --------------------------------------------
-
-
-@dataclass
-class _Branch:
-    op: str
-    test: ast.expr
-    reply_keys: set[str]
-    has_open_reply: bool
-
-
-def _handler_branches(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[_Branch]:
-    """The ``op == "..."`` if/elif chain of a ``_handle_request``."""
-    branches: list[_Branch] = []
-
-    def op_of(test: ast.expr) -> Optional[str]:
-        if (
-            isinstance(test, ast.Compare)
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Eq)
-            and len(test.comparators) == 1
-            and isinstance(test.comparators[0], ast.Constant)
-            and isinstance(test.comparators[0].value, str)
-            and isinstance(test.left, ast.Name)
-        ):
-            return test.comparators[0].value
-        return None
-
-    def reply_shape(body: list[ast.stmt]) -> tuple[set[str], bool]:
-        keys: set[str] = set()
-        has_open = False
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Dict):
-                    for k in node.keys:
-                        if k is None:
-                            has_open = True
-                        elif isinstance(k, ast.Constant) and isinstance(
-                            k.value, str
-                        ):
-                            keys.add(k.value)
-        return keys, has_open
-
-    def chase(stmt: ast.stmt) -> None:
-        if not isinstance(stmt, ast.If):
-            return
-        op = op_of(stmt.test)
-        if op is not None:
-            keys, has_open = reply_shape(stmt.body)
-            branches.append(_Branch(op, stmt.test, keys, has_open))
-        if len(stmt.orelse) == 1:
-            chase(stmt.orelse[0])
-
-    for stmt in func.body:
-        chase(stmt)
-    return branches
-
-
-@dataclass
-class _ClientOp:
-    op: str
-    node: ast.AST
-    path: str
-    method: str
-    required_keys: set[str]
-
-
-def _client_ops(graph: CallGraph) -> list[_ClientOp]:
-    """Every ``{"op": <const>}`` request a ``*Client`` method can send,
-    with the reply keys the method subscripts (its required shape)."""
-    ops: list[_ClientOp] = []
-    for info in graph.functions.values():
-        if info.cls is None or "Client" not in info.cls:
-            continue
-        sent: list[tuple[str, ast.AST]] = []
-        subscripted: set[str] = set()
-        for node in walk_shallow(info.node):
-            if isinstance(node, ast.Dict):
-                for value, at in _dict_key_values(node, "op"):
-                    if value is not None:
-                        sent.append((value, at))
-            elif (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.ctx, ast.Load)
-                and isinstance(node.slice, ast.Constant)
-                and isinstance(node.slice.value, str)
-            ):
-                subscripted.add(node.slice.value)
-        required = subscripted - {"ok", "error", "op", "id"}
-        for op, at in sent:
-            ops.append(_ClientOp(op, at, info.path, info.qualname, required))
-    return ops
-
-
-@register
-class WireProtocolRule(ProgramRule):
-    id = "PROTO-WIRE"
-    severity = Severity.ERROR
-    description = (
-        "every op a *Client class sends must have a _handle_request "
-        "branch, every branch should have a sender, and every reply key "
-        "the client subscripts must appear in that branch's replies"
-    )
-
-    def check_program(self, modules: list[SourceModule]) -> Iterator[Finding]:
-        graph = build_call_graph(modules)
-        handlers = [
-            info
-            for info in graph.functions.values()
-            if info.name == "_handle_request" and info.cls is not None
-        ]
-        clients = _client_ops(graph)
-        if not handlers or not clients:
-            return  # need both endpoints to compare them
-
-        branches: dict[str, tuple[str, _Branch]] = {}
-        for info in handlers:
-            for branch in _handler_branches(info.node):
-                branches.setdefault(branch.op, (info.path, branch))
-
-        client_op_names = {c.op for c in clients}
-        for client in clients:
-            if client.op not in branches:
-                yield self.finding_at(
-                    client.path,
-                    client.node,
-                    f"client sends op {client.op!r} but no _handle_request "
-                    "branch handles it; the server will reply unknown-op",
-                    symbol=client.method,
-                )
-                continue
-            path, branch = branches[client.op]
-            if branch.has_open_reply:
-                continue
-            for key in sorted(client.required_keys - branch.reply_keys):
-                yield self.finding_at(
-                    path,
-                    branch.test,
-                    f"op {client.op!r} replies never carry key {key!r}, "
-                    f"which {client.method} subscripts unconditionally",
-                )
-        for op in sorted(set(branches) - client_op_names):
-            path, branch = branches[op]
-            yield self.finding_at(
-                path,
-                branch.test,
-                f"server handles op {op!r} but no client method ever sends "
-                "it (dead wire protocol)",
-                severity=Severity.WARNING,
-            )
-
-
-@register
-class WireCorrelationRule(ProgramRule):
-    id = "PROTO-WIRE-CORR"
-    severity = Severity.ERROR
-    description = (
-        "error replies sent over the wire must echo the request's "
-        "correlation fields (op/id) — a bare {ok: false} reply cannot be "
-        "matched to its request by the client"
-    )
-
-    def check_program(self, modules: list[SourceModule]) -> Iterator[Finding]:
-        graph = build_call_graph(modules)
-        for info in graph.functions.values():
-            for node in walk_shallow(info.node):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "_send"
-                    and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Dict)
-                ):
-                    continue
-                payload = node.args[1]
-                keys = {
-                    k.value
-                    for k in payload.keys
-                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
-                }
-                is_open = any(k is None for k in payload.keys)
-                ok_false = any(
-                    isinstance(k, ast.Constant)
-                    and k.value == "ok"
-                    and isinstance(v, ast.Constant)
-                    and v.value is False
-                    for k, v in zip(payload.keys, payload.values)
-                )
-                if ok_false and not is_open and not (keys & {"op", "id"}):
-                    yield self.finding_at(
-                        info.path,
-                        payload,
-                        "error reply does not echo the request's correlation "
-                        "fields (op/id); route it through a helper that "
-                        "merges them so the client can match the reply",
-                        symbol=info.qualname,
-                    )

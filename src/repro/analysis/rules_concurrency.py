@@ -1,4 +1,4 @@
-"""Fork- and signal-safety rules for the supervisor/service layer.
+"""Fork- and signal-safety rules for the supervisor layer.
 
 The fleet forks worker process groups and reacts to SIGTERM/SIGINT; the
 failure modes are classic and brutal to debug:

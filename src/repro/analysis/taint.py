@@ -1,7 +1,7 @@
 """Determinism taint: nondeterministic values must not reach durable state.
 
 ``DET-WALLCLOCK``/``DET-RANDOM`` ban host time and entropy *inside* the
-deterministic layers.  The service layer legitimately consults the wall
+deterministic layers.  The supervisor layer legitimately consults the wall
 clock (timeouts, heartbeats) — the invariant there is subtler: those
 values may steer *scheduling* but must never flow into the surfaces
 resume-equivalence diffs byte-for-byte:

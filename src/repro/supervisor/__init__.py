@@ -1,16 +1,16 @@
-"""The fault-tolerant measurement service.
+"""The fault-tolerant sweep supervisor.
 
-See :mod:`repro.supervisor.supervisor` for the service front door,
+See :mod:`repro.supervisor.supervisor` for the :class:`Supervisor` that
+drives a sweep, :mod:`repro.supervisor.queue` for durable admission,
 :mod:`repro.supervisor.pool` for the concurrent worker pool (liveness,
 migration, drain), :mod:`repro.supervisor.journal` for the crash-safe
 append-only journal, :mod:`repro.supervisor.cache` for the deterministic
 result cache, :mod:`repro.supervisor.worker` for the per-run subprocess
-entry, and :mod:`repro.supervisor.manifest` for the materialized sweep
-view.
+entry, and :mod:`repro.supervisor.manifest` for run records and the
+materialized sweep view.
 """
 
 from repro.supervisor.cache import ResultCache, code_version, spec_digest
-from repro.supervisor.client import RetryPolicy, ServiceClient, ServiceError
 from repro.supervisor.heartbeat import (
     DEAD,
     LIVE,
@@ -22,7 +22,6 @@ from repro.supervisor.heartbeat import (
 )
 from repro.supervisor.journal import Journal, JournalError, JournalState
 from repro.supervisor.manifest import (
-    CANCELLED,
     DONE,
     EXIT_PERMANENT,
     EXIT_PREEMPTED,
@@ -30,7 +29,6 @@ from repro.supervisor.manifest import (
     FAILED,
     PENDING,
     RUNNING,
-    TERMINAL,
     Manifest,
     RunRecord,
 )
@@ -40,16 +38,10 @@ from repro.supervisor.queue import (
     CACHED,
     DUPLICATE,
     REJECTED,
-    REQUEUED,
     AdmissionQueue,
     RunSpec,
 )
 from repro.supervisor.runs import RUN_KINDS, Preempted, RunContext
-from repro.supervisor.service import (
-    MeasurementService,
-    ServiceCore,
-    socket_path_for,
-)
 from repro.supervisor.supervisor import Supervisor
 
 __all__ = [
@@ -57,8 +49,6 @@ __all__ = [
     "FAILED",
     "PENDING",
     "RUNNING",
-    "CANCELLED",
-    "TERMINAL",
     "DEAD",
     "LIVE",
     "SLOW",
@@ -66,7 +56,6 @@ __all__ = [
     "ADMITTED",
     "CACHED",
     "DUPLICATE",
-    "REQUEUED",
     "REJECTED",
     "AdmissionQueue",
     "Manifest",
@@ -75,11 +64,6 @@ __all__ = [
     "RunContext",
     "RunSpec",
     "Supervisor",
-    "ServiceCore",
-    "MeasurementService",
-    "ServiceClient",
-    "ServiceError",
-    "RetryPolicy",
     "WorkerPool",
     "Journal",
     "JournalError",
@@ -89,7 +73,6 @@ __all__ = [
     "backoff_delay",
     "code_version",
     "default_worker_count",
-    "socket_path_for",
     "spec_digest",
     "heartbeat_path",
     "read_heartbeat",

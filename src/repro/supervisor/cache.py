@@ -17,13 +17,6 @@ A hit copies the cached result into the run directory without launching
 a worker; the journal records it as ``done`` with ``cached: true`` and
 the pool's launch counter stays untouched — which is how the acceptance
 test proves "zero subprocess launches" on resubmission.
-
-The cache is **bounded**: ``max_entries`` / ``max_bytes`` cap growth
-with LRU eviction (recency = entry file mtime, refreshed on every hit,
-so the policy survives across processes sharing the directory).  Each
-eviction fires ``on_evict`` — the service counts them as
-``fleet.cache_evict``.  Unbounded (both limits ``None``) remains the
-default for one-shot sweeps.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.supervisor.manifest import atomic_write_json
 
@@ -78,22 +71,9 @@ class ResultCache:
     only ever race to write identical bytes.
     """
 
-    def __init__(
-        self,
-        root: str,
-        version: Optional[str] = None,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        on_evict: Optional[Callable[[int], None]] = None,
-    ):
+    def __init__(self, root: str, version: Optional[str] = None):
         self.root = root
         self.version = version or code_version()
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.on_evict = on_evict
-        #: Entries this instance has evicted (monotone; also reported
-        #: through ``on_evict`` for the metrics registry).
-        self.evictions = 0
 
     def key(self, kind: str, params: dict) -> str:
         h = hashlib.sha256()
@@ -115,20 +95,10 @@ class ResultCache:
             return None
         if entry.get("code_version") != self.version:
             return None
-        try:
-            # LRU recency: a hit makes the entry the newest.
-            os.utime(path)
-        except OSError:
-            pass
         return entry.get("result")
 
     def put(self, kind: str, params: dict, result: dict) -> str:
-        """Store one result; returns the entry path.
-
-        When bounded, eviction runs after the write, so the entry just
-        stored is the newest and survives (unless it alone exceeds
-        ``max_bytes``, in which case the cache honestly holds nothing).
-        """
+        """Store one result; returns the entry path."""
         path = self._path(self.key(kind, params))
         os.makedirs(os.path.dirname(path), exist_ok=True)
         atomic_write_json(
@@ -141,55 +111,4 @@ class ResultCache:
                 "result": result,
             },
         )
-        if self.max_entries is not None or self.max_bytes is not None:
-            self._evict()
         return path
-
-    # -- bounding ------------------------------------------------------------
-
-    def _entries(self) -> list[tuple[float, int, str]]:
-        """All entry files as ``(mtime, size, path)``, oldest first."""
-        entries = []
-        try:
-            shards = os.listdir(self.root)
-        except OSError:
-            return []
-        for shard in shards:
-            shard_dir = os.path.join(self.root, shard)
-            try:
-                names = os.listdir(shard_dir)
-            except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(shard_dir, name)
-                try:
-                    st = os.stat(path)
-                except OSError:
-                    continue
-                entries.append((st.st_mtime, st.st_size, path))
-        entries.sort()
-        return entries
-
-    def _evict(self) -> int:
-        """Drop oldest entries until within both limits; returns count."""
-        entries = self._entries()
-        total_bytes = sum(size for _, size, _ in entries)
-        evicted = 0
-        while entries and (
-            (self.max_entries is not None and len(entries) > self.max_entries)
-            or (self.max_bytes is not None and total_bytes > self.max_bytes)
-        ):
-            _, size, path = entries.pop(0)
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total_bytes -= size
-            evicted += 1
-        if evicted:
-            self.evictions += evicted
-            if self.on_evict is not None:
-                self.on_evict(evicted)
-        return evicted

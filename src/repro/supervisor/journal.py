@@ -1,29 +1,15 @@
-"""Append-only journal: the fleet's crash-safe source of truth.
+"""Append-only journal: the sweep's crash-safe source of truth.
 
-The PR 3 supervisor rewrote ``manifest.json`` in place on every
-transition; atomic replace made each write safe, but the *history* was
-gone — a resumed sweep could only see the last snapshot.  The journal
-supersedes it: every job transition is one JSON line appended to
-``journal.jsonl`` and fsync'd before the supervisor acts on it, so a
-SIGKILL at any instant loses at most a torn final line.  Replaying the
-journal reconstructs the exact pending/in-flight/done sets; the old
-manifest survives only as a human-readable materialized view written at
-checkpoints and at exit.
+Every run transition is one JSON line appended to ``journal.jsonl`` and
+fsync'd before the supervisor acts on it, so a SIGKILL at any instant
+loses at most a torn final line.  Replaying the journal reconstructs
+the exact pending/in-flight/done sets; ``manifest.json`` is only a
+human-readable view materialized at start and at exit.
 
-Two extensions serve the long-running measurement service:
-
-* **batched appends** — :meth:`Journal.append_many` writes a whole
-  admission batch with a *single* flush+fsync, which is what lets the
-  service admit 10^4 queued specs without 10^4 fsyncs.  The durability
-  contract is batch-granular: the service replies to a submit only
-  after the batch fsync, so an acknowledged job is always replayable
-  (an unacknowledged one may be lost — the client resubmits, and
-  admission is idempotent).
-* **compaction** — :meth:`Journal.compact` atomically rewrites the file
-  from the materialized per-run state (full-fidelity ``add`` events),
-  keeping the old journal as ``.bak``; a daemon that has processed
-  millions of transitions boots from a journal proportional to the
-  number of *runs*, not the number of *events*.
+Appends are batched: :meth:`Journal.append_many` writes a whole
+admission batch with a *single* flush+fsync, so admitting 10^4 specs
+costs one fsync, not 10^4.  The supervisor enqueues a batch only after
+that fsync, so every admitted run is replayable.
 
 Recovery rules (exercised by ``tests/test_supervisor_journal.py``):
 
@@ -31,7 +17,9 @@ Recovery rules (exercised by ``tests/test_supervisor_journal.py``):
   dropped with a note;
 * a torn line **followed by more events** means real corruption →
   :class:`JournalError`;
-* a header version this code does not speak → :class:`JournalError`;
+* a header version this code does not speak → :class:`JournalError`
+  (version 1 journals, which could carry ``cancel`` events and
+  state-bearing ``add`` events, are refused, not migrated);
 * an event naming a run that was never added → :class:`JournalError`
   (never a silent skip).
 """
@@ -41,10 +29,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Optional
+from typing import IO, Iterable, Optional
 
 from repro.supervisor.manifest import (
-    CANCELLED,
     DONE,
     FAILED,
     PENDING,
@@ -52,7 +39,7 @@ from repro.supervisor.manifest import (
     RunRecord,
 )
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: Event types the replay understands.  Anything else is corruption.
 EVENT_TYPES = (
@@ -64,7 +51,6 @@ EVENT_TYPES = (
     "retry",
     "done",
     "failed",
-    "cancel",
     "preempted",
     "drain",
     "complete",
@@ -75,44 +61,6 @@ EVENT_TYPES = (
 class JournalError(RuntimeError):
     """The journal cannot be trusted: wrong version, corruption mid-file,
     or events referencing runs that were never added."""
-
-
-def add_event(record: RunRecord, full: bool = False) -> dict:
-    """The ``add`` event (re)introducing ``record`` into a journal.
-
-    With ``full=False`` only non-default state is embedded (the shape
-    the live supervisor writes for fresh submissions).  ``full=True``
-    embeds the whole materialized record — what compaction writes, so a
-    replay of the compacted journal reconstructs attempts, errors,
-    migrations and pids, not just statuses.
-    """
-    event = {
-        "type": "add",
-        "run_id": record.run_id,
-        "kind": record.kind,
-        "params": record.params,
-    }
-    if full or record.status != PENDING or record.attempts:
-        event.update(
-            {
-                "status": record.status,
-                "attempts": record.attempts,
-                "result_path": record.result_path,
-                "checkpoint_path": record.checkpoint_path,
-                "cached": record.cached,
-            }
-        )
-    if full:
-        event.update(
-            {
-                "last_error": record.last_error,
-                "stuck": record.stuck,
-                "migrations": record.migrations,
-                "last_slot": record.last_slot,
-                "last_pid": record.last_pid,
-            }
-        )
-    return event
 
 
 @dataclass
@@ -138,9 +86,6 @@ class Journal:
     def __init__(self, path: str):
         self.path = path
         self._fh: Optional[IO[str]] = None
-        #: Called with each event *after* it is durably on disk — the
-        #: service's live-stream tee.  Observers must not raise.
-        self.observers: list[Callable[[dict], None]] = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -165,13 +110,6 @@ class Journal:
             self._fh.close()
             self._fh = None
 
-    @property
-    def size_bytes(self) -> int:
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return 0
-
     # -- writing -------------------------------------------------------------
 
     def append(self, event: dict) -> None:
@@ -192,69 +130,15 @@ class Journal:
         """
         if self._fh is None:
             raise JournalError(f"journal {self.path} is not open")
-        written = []
+        written = 0
         for event in events:
             self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-            written.append(event)
+            written += 1
         if not written:
             return 0
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        for observer in self.observers:
-            for event in written:
-                observer(event)
-        return len(written)
-
-    # -- compaction ----------------------------------------------------------
-
-    @staticmethod
-    def compact(path: str, meta: Optional[dict] = None) -> JournalState:
-        """Atomically rewrite the journal from its materialized state.
-
-        The event history is folded into one full-fidelity ``add`` per
-        run (deterministic order: sorted run id).  Crash-safe sequence:
-
-        1. replay the current journal (refuses corrupt input);
-        2. write ``<path>.tmp`` — header + adds — and fsync it;
-        3. hardlink the current journal to ``<path>.bak`` (the old file
-           stays reachable at *both* names);
-        4. atomically rename the tmp over the journal and fsync the
-           directory, at which point the ``.bak`` is the only copy of
-           the old history.
-
-        A SIGKILL anywhere leaves either the old journal at ``path``
-        (steps 1–3) or the compacted one (step 4 landed) — never
-        neither, never a mix.  The ``.bak`` from the most recent
-        compaction is kept for forensics.  Returns the replayed state
-        the compacted journal encodes.
-        """
-        state = Journal.replay(path)
-        tmp = path + ".tmp"
-        writer = Journal(tmp)
-        writer.open_fresh(meta=meta if meta is not None else state.meta)
-        writer.append_many(
-            add_event(state.records[rid], full=True)
-            for rid in sorted(state.records)
-        )
-        writer.close()
-
-        bak = path + ".bak"
-        try:
-            os.unlink(bak)
-        except OSError:
-            pass
-        os.link(path, bak)
-        os.replace(tmp, path)
-        dir_fd = os.open(os.path.dirname(os.path.abspath(path)) or ".", os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-
-        compacted = JournalState(meta=state.meta, records=state.records)
-        compacted.events = len(state.records)
-        compacted.valid_bytes = os.path.getsize(path)
-        return compacted
+        return written
 
     # -- replay --------------------------------------------------------------
 
@@ -332,19 +216,7 @@ class Journal:
                     f"journal {path} adds run {run_id!r} twice"
                 )
             state.records[run_id] = RunRecord(
-                run_id=run_id,
-                kind=event["kind"],
-                params=event.get("params", {}),
-                status=event.get("status", PENDING),
-                attempts=int(event.get("attempts", 0)),
-                result_path=event.get("result_path"),
-                checkpoint_path=event.get("checkpoint_path"),
-                cached=bool(event.get("cached", False)),
-                last_error=event.get("last_error"),
-                stuck=event.get("stuck", []),
-                migrations=int(event.get("migrations", 0)),
-                last_slot=event.get("last_slot"),
-                last_pid=event.get("last_pid"),
+                run_id=run_id, kind=event["kind"], params=event.get("params", {})
             )
             return
 
@@ -389,9 +261,6 @@ class Journal:
             record.result_path = event.get("result_path")
             record.cached = bool(event.get("cached", False))
             record.last_error = None
-            record.last_pid = None
-        elif etype == "cancel":
-            record.status = CANCELLED
             record.last_pid = None
         elif etype == "failed":
             record.status = FAILED

@@ -1,12 +1,10 @@
-"""The sweep run-manifest: one JSON file that makes a sweep resumable.
+"""Run records and the sweep manifest view.
 
-The manifest is the supervisor's durable source of truth.  Every state
-transition (attempt started, run finished, retry scheduled, failure
-classified) is written through :meth:`Manifest.save` — an atomic
-tmp-and-replace, so a SIGKILL at any moment leaves either the old or the
-new manifest on disk, never a torn one.  ``tools/sweep.py --resume``
-reloads it, skips runs already ``done``, and restarts the rest from
-their latest recorded checkpoint.
+:class:`RunRecord` is the in-memory state of one run, rebuilt from the
+journal (:mod:`repro.supervisor.journal`), which is the durable source
+of truth.  :class:`Manifest` is a human-readable view of those records,
+written to ``manifest.json`` with :func:`atomic_write_json` when a
+sweep starts and when it ends; nothing reads it back.
 """
 
 from __future__ import annotations
@@ -24,12 +22,6 @@ PENDING = "pending"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
-#: Cancelled through the service API before completing; never launched
-#: again (unlike FAILED, which --resume requeues with a fresh budget).
-CANCELLED = "cancelled"
-
-#: States a sweep will not execute (work on them is finished for good).
-TERMINAL = (DONE, CANCELLED)
 
 #: Worker exit codes (the supervisor/worker protocol; any other nonzero
 #: exit or death-by-signal is a crash, classified transient).
@@ -82,7 +74,7 @@ class RunRecord:
     last_slot: Optional[int] = None
     #: Worker pid of the latest launch, cleared when the attempt ends.
     #: After a journal replay, a RUNNING record's last_pid names the
-    #: (possibly orphaned) worker process group a rebooting service
+    #: (possibly orphaned) worker process group a resuming supervisor
     #: must reap before relaunching.
     last_pid: Optional[int] = None
 
@@ -103,24 +95,6 @@ class RunRecord:
             "last_pid": self.last_pid,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RunRecord":
-        return cls(
-            run_id=data["run_id"],
-            kind=data["kind"],
-            params=data.get("params", {}),
-            status=data.get("status", PENDING),
-            attempts=int(data.get("attempts", 0)),
-            result_path=data.get("result_path"),
-            checkpoint_path=data.get("checkpoint_path"),
-            last_error=data.get("last_error"),
-            stuck=data.get("stuck", []),
-            cached=bool(data.get("cached", False)),
-            migrations=int(data.get("migrations", 0)),
-            last_slot=data.get("last_slot"),
-            last_pid=data.get("last_pid"),
-        )
-
 
 class Manifest:
     """All runs of one sweep plus sweep-level metadata."""
@@ -129,8 +103,6 @@ class Manifest:
         self.path = path
         self.meta = dict(meta or {})
         self.runs: dict[str, RunRecord] = {}
-
-    # -- persistence ---------------------------------------------------------
 
     def save(self) -> None:
         atomic_write_json(
@@ -141,52 +113,6 @@ class Manifest:
                 "runs": {rid: rec.to_json() for rid, rec in self.runs.items()},
             },
         )
-
-    @classmethod
-    def load(cls, path: str) -> "Manifest":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            # Atomic replace means this should be impossible for a
-            # manifest *this* code wrote; say so rather than crash with
-            # a bare decode error (truncated copies, manual edits).
-            raise ValueError(
-                f"manifest {path} is corrupt (not valid JSON: {exc}); "
-                "it was not written by this supervisor's atomic writer — "
-                "restore it or start the sweep fresh"
-            ) from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"manifest {path} is corrupt (not a JSON object)")
-        version = data.get("version")
-        if version != MANIFEST_VERSION:
-            raise ValueError(
-                f"manifest {path} has version {version}, "
-                f"this supervisor speaks version {MANIFEST_VERSION}"
-            )
-        manifest = cls(path, meta=data.get("meta", {}))
-        for rid, rec in data.get("runs", {}).items():
-            manifest.runs[rid] = RunRecord.from_json(rec)
-        return manifest
-
-    # -- run bookkeeping -----------------------------------------------------
-
-    def add_run(self, record: RunRecord) -> None:
-        if record.run_id in self.runs:
-            raise ValueError(f"duplicate run id {record.run_id!r}")
-        self.runs[record.run_id] = record
-
-    def pending_runs(self) -> list[RunRecord]:
-        """Runs a (re)started sweep still has to execute.
-
-        A run found in state ``running`` was in flight when the previous
-        supervisor died — it is resumed, not skipped: its checkpoint (if
-        any) is recorded and its result was never written.  Cancelled
-        runs are terminal: never re-executed.
-        """
-        return [
-            rec for rec in self.runs.values() if rec.status not in TERMINAL
-        ]
 
     def summary(self) -> dict:
         counts: dict[str, int] = {}

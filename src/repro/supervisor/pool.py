@@ -19,8 +19,9 @@ in-flight job three ways:
 Retries are scheduled, not slept: each failed attempt computes a
 deterministic backoff (exponential base with seedable jitter, see
 :func:`backoff_delay`) and re-enters the ready queue with a not-before
-time on the injected ``clock``.  Tests inject a fake clock/sleep pair,
-so no unit test ever calls ``time.sleep`` for real.
+time on the injected ``clock``.  Tests inject a fake clock (and the
+supervisor a matching fake sleep), so no unit test ever calls
+``time.sleep`` for real.
 
 On ``request_drain()`` (wired to SIGTERM by ``tools/sweep.py``) the pool
 stops admitting, SIGTERMs in-flight workers — they checkpoint and exit
@@ -36,6 +37,7 @@ import os
 import random
 import signal
 import subprocess
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,7 +49,6 @@ from repro.supervisor.heartbeat import (
 )
 from repro.supervisor.journal import Journal
 from repro.supervisor.manifest import (
-    CANCELLED,
     DONE,
     EXIT_PERMANENT,
     EXIT_PREEMPTED,
@@ -123,16 +124,13 @@ class WorkerPool:
         journal: Journal,
         *,
         workers: int,
-        python: str,
         max_attempts: int,
         backoff_s: float,
         jitter_seed: Optional[int],
         wall_timeout_s: Optional[float],
         stuck_after_s: float,
         checkpoint_every_s: float,
-        poll_interval_s: float,
         clock: Callable[[], float],
-        sleep: Callable[[float], None],
         log: Callable[[str], None],
         metrics: MetricsRegistry,
         on_done: Optional[Callable[[RunRecord], None]] = None,
@@ -141,16 +139,13 @@ class WorkerPool:
         self.out_dir = out_dir
         self.journal = journal
         self.workers = max(1, int(workers))
-        self.python = python
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.jitter_seed = jitter_seed
         self.wall_timeout_s = wall_timeout_s
         self.stuck_after_s = stuck_after_s
         self.checkpoint_every_s = checkpoint_every_s
-        self.poll_interval_s = poll_interval_s
         self.clock = clock
-        self.sleep = sleep
         self.log = log
         self.metrics = metrics
         self.on_done = on_done
@@ -170,18 +165,8 @@ class WorkerPool:
 
     @property
     def queue_depth(self) -> int:
-        """Distinct launchable runs waiting in the ready queue (stale
-        heap entries from cancel/resubmit cycles are not counted)."""
-        return len(
-            {rec.run_id for _, _, rec in self._queue if rec.status == PENDING}
-        )
-
-    @property
-    def in_flight(self) -> dict[str, int]:
-        """``{run_id: pid}`` of currently-running workers."""
-        return {
-            job.record.run_id: job.proc.pid for job in self._jobs.values()
-        }
+        """Launchable runs waiting in the ready queue."""
+        return len(self._queue)
 
     @property
     def busy(self) -> bool:
@@ -197,8 +182,8 @@ class WorkerPool:
         """Stop admitting; in-flight workers are asked to checkpoint and
         exit (the poll loop delivers the SIGTERMs).
 
-        Async-signal-safe by design — the service's SIGTERM handler
-        lands here, so this only sets flags.  The log line is emitted by
+        Async-signal-safe by design — the sweep's SIGTERM handler lands
+        here, so this only sets flags.  The log line is emitted by
         the next :meth:`step` from the main loop."""
         if not self._draining:
             self._draining = True
@@ -217,36 +202,10 @@ class WorkerPool:
             heapq.heappush(self._queue, (now, self._seq, record))
             self._seq += 1
 
-    def cancel(self, run_id: str) -> Optional[str]:
-        """Cancel a queued or in-flight run.
-
-        Queued runs are marked :data:`CANCELLED` and lazily skipped when
-        they surface from the heap; in-flight runs have their worker
-        group killed.  Returns ``"pending"`` / ``"running"`` for what
-        was cancelled, or None if the run is not under pool control
-        (already finished, or never enqueued)."""
-        for slot, job in list(self._jobs.items()):
-            if job.record.run_id == run_id:
-                self._kill_group(job, signal.SIGKILL)
-                job.proc.wait()
-                del self._jobs[slot]
-                self._free_slots.append(slot)
-                job.record.status = CANCELLED
-                job.record.last_pid = None
-                self.metrics.counter("fleet.cancel", key="running")
-                return "running"
-        for _, _, record in self._queue:
-            if record.run_id == run_id and record.status != CANCELLED:
-                record.status = CANCELLED
-                self.metrics.counter("fleet.cancel", key="pending")
-                return "pending"
-        return None
-
     def step(self) -> bool:
         """One scheduling round: admit ready runs into free slots, reap
         dead workers, enforce liveness, drive a drain.  Never sleeps —
-        the caller owns pacing (and, in the daemon, interleaves socket
-        traffic between steps).  Returns :attr:`busy`."""
+        the caller owns pacing.  Returns :attr:`busy`."""
         if self._drain_unannounced:
             self._drain_unannounced = False
             self.log("[fleet] drain requested: no new runs will start")
@@ -254,11 +213,6 @@ class WorkerPool:
         if not self._draining:
             while self._free_slots and self._queue and self._queue[0][0] <= now:
                 _, _, record = heapq.heappop(self._queue)
-                if record.status != PENDING:
-                    # Cancelled while queued, or a stale entry from a
-                    # cancel→resubmit cycle (the record was re-enqueued
-                    # and its newer entry already launched): skip.
-                    continue
                 slot = self._pick_slot(self._free_slots, record)
                 self._free_slots.remove(slot)
                 self._jobs[slot] = self._launch(record, slot, now)
@@ -284,14 +238,6 @@ class WorkerPool:
         if self._draining and self._jobs:
             self._drive_drain(self._jobs, now)
         return self.busy
-
-    def run(self, records: list[RunRecord]) -> None:
-        """One-shot mode: enqueue and step until idle (or drained)."""
-        self.enqueue(records)
-        while self.step():
-            self.sleep(self.poll_interval_s)
-        self.metrics.gauge("fleet.queue_depth", value=float(self.queue_depth))
-        self.metrics.gauge("fleet.in_flight", value=0.0)
 
     # -- admission -----------------------------------------------------------
 
@@ -341,7 +287,7 @@ class WorkerPool:
         stderr_log = open(os.path.join(run_dir, "stderr.log"), "wb")
         try:
             proc = subprocess.Popen(
-                [self.python, "-m", "repro.supervisor.worker", "--spec", spec_path],
+                [sys.executable, "-m", "repro.supervisor.worker", "--spec", spec_path],
                 env=env,
                 stdout=subprocess.DEVNULL,
                 stderr=stderr_log,

@@ -1,57 +1,47 @@
-"""Durable admission: idempotent, bounded, batch-journaled.
+"""Durable admission: idempotent and batch-journaled.
 
-Every job enters the service through :class:`AdmissionQueue.admit`,
-which gives the measurement service its three admission guarantees:
+Every run enters a sweep through :class:`AdmissionQueue.admit`, which
+gives the supervisor its admission guarantees:
 
 * **idempotent by spec digest** — the canonical digest of ``(kind,
   params)`` (see :func:`repro.supervisor.cache.spec_digest`) indexes
-  every known run.  Resubmitting a spec that is already done,
-  in flight, or queued returns the *existing* job id with zero new
-  work; resubmitting a failed or cancelled spec requeues it with a
-  fresh attempt budget.  A client that never saw its submit ack (the
-  daemon was SIGKILLed mid-reply) can therefore always just resubmit.
-* **bounded with explicit backpressure** — ``max_pending`` caps the
-  not-yet-running backlog; specs over the cap are *rejected with a
-  reason*, never silently dropped and never queued into unbounded
-  memory.  The caller (service protocol / CLI) relays the rejection to
-  the submitter, who retries later (:class:`~repro.supervisor.client.
-  RetryPolicy`).
+  every known run.  Resubmitting a spec that is already known — done,
+  in flight or queued, under any run id — returns the *existing* run id
+  with zero new work.
+* **no silent conflicts** — a spec whose run id already names a
+  *different* spec (say, a ``--resume`` with changed parameters) is
+  rejected with a reason, never answered with the old run's result.
 * **amortized durability** — one admission batch appends all of its
   journal events through a single :meth:`~repro.supervisor.journal.
-  Journal.append_many` (one fsync per *batch*, not per job), which is
-  what makes 10^4-spec batched admission sustainable.  The fsync lands
-  before the batch is enqueued or acknowledged, so an acked job is
-  always recoverable by replay.
+  Journal.append_many` (one fsync per *batch*, not per run), which is
+  what keeps 10^4-spec admission cheap.  The fsync lands before the
+  batch is enqueued, so every admitted run is recoverable by replay.
 
 A cache hit at admission is journaled ``add`` + ``done`` in the same
-batch and never reaches the worker pool — zero launches, exactly like
-the PR 7 resubmission path, but now batched.
+batch and never reaches the worker pool — zero launches.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.supervisor.cache import ResultCache, spec_digest
-from repro.supervisor.journal import Journal, add_event
+from repro.supervisor.journal import Journal
 from repro.supervisor.manifest import (
-    CANCELLED,
     DONE,
-    FAILED,
     PENDING,
     RunRecord,
     atomic_write_json,
 )
 from repro.trace.tracer import MetricsRegistry
 
-#: Admission dispositions (the ``disposition`` field of every reply).
-ADMITTED = "admitted"        #: new job, queued for execution
-CACHED = "cached"            #: new job, served from the result cache
+#: Admission dispositions (the ``disposition`` field of every verdict).
+ADMITTED = "admitted"        #: new run, queued for execution
+CACHED = "cached"            #: new run, served from the result cache
 DUPLICATE = "duplicate"      #: spec already known (done / running / queued)
-REQUEUED = "requeued"        #: failed/cancelled spec resubmitted, fresh budget
-REJECTED = "rejected"        #: backpressure or id conflict — NOT admitted
+REJECTED = "rejected"        #: run id names a different spec — NOT admitted
 
 
 @dataclass
@@ -60,47 +50,36 @@ class RunSpec:
 
     ``run_id`` may be empty: admission derives a stable id from the
     spec digest (``<kind>-<digest12>``), so anonymous submissions of
-    the same spec always converge on the same job.
+    the same spec always converge on the same run.
     """
 
     run_id: str
     kind: str
     params: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RunSpec":
-        return cls(
-            run_id=data.get("run_id") or "",
-            kind=data["kind"],
-            params=data.get("params", {}),
-        )
-
-    def to_json(self) -> dict:
-        return {"run_id": self.run_id, "kind": self.kind, "params": self.params}
-
 
 @dataclass
 class Admission:
-    """The per-spec admission verdict returned to the submitter."""
+    """The per-spec admission verdict."""
 
     run_id: str
     disposition: str
     status: str
     reason: Optional[str] = None
 
-    def to_json(self) -> dict:
-        out = {
-            "run_id": self.run_id,
-            "disposition": self.disposition,
-            "status": self.status,
-        }
-        if self.reason:
-            out["reason"] = self.reason
-        return out
+
+def id_conflict(existing: RunRecord, spec: RunSpec) -> Optional[str]:
+    """Why ``spec`` may not be admitted under ``existing``'s run id, or
+    None when both name the same spec."""
+    if spec_digest(existing.kind, existing.params) == spec_digest(
+        spec.kind, spec.params
+    ):
+        return None
+    return f"run id {existing.run_id!r} already names a different spec"
 
 
 class AdmissionQueue:
-    """The service's admission control; see the module docstring.
+    """The sweep's admission control; see the module docstring.
 
     Owns the digest index over ``records`` (the shared materialized
     run-state dict) and the journal-write half of admission.  It does
@@ -114,50 +93,31 @@ class AdmissionQueue:
         journal: Journal,
         records: dict[str, RunRecord],
         metrics: MetricsRegistry,
-        log: Callable[[str], None],
-        max_pending: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        backlog: Optional[Callable[[], int]] = None,
     ):
         self.out_dir = out_dir
         self.journal = journal
         self.records = records
         self.metrics = metrics
-        self.log = log
-        self.max_pending = max_pending
         self.cache = cache
-        #: Live not-yet-running backlog (the pool's ready-queue depth);
-        #: admission adds its own in-batch count on top.
-        self.backlog = backlog or (lambda: 0)
         self._by_digest: dict[str, str] = {}
         for record in records.values():
             self._by_digest[spec_digest(record.kind, record.params)] = (
                 record.run_id
             )
 
-    # -- index maintenance ---------------------------------------------------
-
-    def index(self, record: RunRecord) -> None:
-        """Register an externally-recovered record (journal replay)."""
-        self._by_digest[spec_digest(record.kind, record.params)] = record.run_id
-
-    # -- admission -----------------------------------------------------------
-
     def admit(self, specs: list[RunSpec]) -> tuple[list[Admission], list[RunRecord]]:
         """Admit a batch; returns (verdicts, records to enqueue).
 
         All journal events for the batch are appended with one fsync
-        *before* returning, so everything acked here is durable.  The
-        returned enqueue list holds newly-admitted and requeued records
-        the caller must hand to the pool (after this method returns —
+        *before* returning, so everything admitted here is durable.  The
+        returned enqueue list holds the newly-admitted records the
+        caller must hand to the pool (after this method returns —
         journal-before-act).
         """
         verdicts: list[Admission] = []
         to_enqueue: list[RunRecord] = []
         events: list[dict] = []
-        headroom = None
-        if self.max_pending is not None:
-            headroom = max(0, self.max_pending - self.backlog())
 
         for spec in specs:
             digest = spec_digest(spec.kind, spec.params)
@@ -165,17 +125,10 @@ class AdmissionQueue:
 
             existing = self.records.get(run_id)
             if existing is not None:
-                if spec_digest(existing.kind, existing.params) != digest:
+                reason = id_conflict(existing, spec)
+                if reason is not None:
                     verdicts.append(
-                        Admission(
-                            run_id,
-                            REJECTED,
-                            existing.status,
-                            reason=(
-                                f"run id {run_id!r} already names a "
-                                "different spec"
-                            ),
-                        )
+                        Admission(run_id, REJECTED, existing.status, reason=reason)
                     )
                     self.metrics.counter("fleet.admission_rejected", key="conflict")
                     continue
@@ -186,62 +139,29 @@ class AdmissionQueue:
                 existing = self.records[run_id]
 
             if existing is not None:
-                if existing.status in (FAILED, CANCELLED):
-                    existing.status = PENDING
-                    existing.attempts = 0
-                    existing.last_error = None
-                    events.append(
-                        {"type": "requeue", "run_id": run_id, "attempts": 0}
-                    )
-                    to_enqueue.append(existing)
-                    verdicts.append(Admission(run_id, REQUEUED, PENDING))
-                    self.metrics.counter("fleet.admission_requeue")
-                else:
-                    # done / running / pending: nothing to do, job id
-                    # answers polls. Zero launches, zero journal bytes.
-                    verdicts.append(
-                        Admission(run_id, DUPLICATE, existing.status)
-                    )
-                    self.metrics.counter("fleet.admission_dedup")
-                continue
-
-            if headroom is not None and headroom <= 0:
-                verdicts.append(
-                    Admission(
-                        run_id,
-                        REJECTED,
-                        "rejected",
-                        reason=(
-                            f"queue full ({self.max_pending} pending); "
-                            "retry after the backlog drains"
-                        ),
-                    )
-                )
-                self.metrics.counter("fleet.admission_rejected", key="full")
+                # done / running / pending: nothing to do.  Zero
+                # launches, zero journal bytes.
+                verdicts.append(Admission(run_id, DUPLICATE, existing.status))
+                self.metrics.counter("fleet.admission_dedup")
                 continue
 
             record = RunRecord(run_id=run_id, kind=spec.kind, params=spec.params)
             self.records[run_id] = record
             self._by_digest[digest] = run_id
-            events.append(add_event(record))
+            events.append(
+                {
+                    "type": "add",
+                    "run_id": run_id,
+                    "kind": spec.kind,
+                    "params": spec.params,
+                }
+            )
 
-            hit = self.cache.get(spec.kind, spec.params) if self.cache else None
-            if hit is not None:
-                result_path = self._write_cached_result(record, hit)
-                events.append(
-                    {
-                        "type": "done",
-                        "run_id": run_id,
-                        "attempt": 0,
-                        "result_path": result_path,
-                        "cached": True,
-                    }
-                )
+            done = self.serve_from_cache(record)
+            if done is not None:
+                events.append(done)
                 verdicts.append(Admission(run_id, CACHED, DONE))
-                self.metrics.counter("fleet.cache_hit")
             else:
-                if headroom is not None:
-                    headroom -= 1
                 to_enqueue.append(record)
                 verdicts.append(Admission(run_id, ADMITTED, PENDING))
             self.metrics.counter("fleet.admission_total")
@@ -252,7 +172,15 @@ class AdmissionQueue:
         self.metrics.observe("fleet.admission_batch_size", value=float(len(specs)))
         return verdicts, to_enqueue
 
-    def _write_cached_result(self, record: RunRecord, hit: dict) -> str:
+    def serve_from_cache(self, record: RunRecord) -> Optional[dict]:
+        """Finish ``record`` from the result cache, if it holds the spec.
+
+        Writes the cached result into the run directory, marks the
+        record done and returns the ``done`` event for the caller to
+        journal; None on a miss (or without a cache)."""
+        hit = self.cache.get(record.kind, record.params) if self.cache else None
+        if hit is None:
+            return None
         run_dir = os.path.join(self.out_dir, record.run_id)
         os.makedirs(run_dir, exist_ok=True)
         result_path = os.path.join(run_dir, "result.json")
@@ -261,4 +189,11 @@ class AdmissionQueue:
         record.result_path = result_path
         record.cached = True
         record.last_error = None
-        return result_path
+        self.metrics.counter("fleet.cache_hit")
+        return {
+            "type": "done",
+            "run_id": record.run_id,
+            "attempt": record.attempts,
+            "result_path": result_path,
+            "cached": True,
+        }

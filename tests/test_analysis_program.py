@@ -1,13 +1,12 @@
 """Tests for repro-lint's whole-program passes.
 
 Covers the interprocedural PAPI typestate (``PAPI-INTERPROC``), the
-journal and wire protocol-exhaustiveness passes (``PROTO-*``), the
+journal protocol-exhaustiveness pass (``PROTO-JOURNAL``), the
 determinism taint pass (``DET-TAINT``), fork/signal safety
 (``FORK-SAFETY``/``SIGNAL-SAFETY``), the ``--changed-only`` reporting
 path, and the move/rename stability of baseline fingerprints.  Each
-rule gets a good/bad fixture pair; the service-seeding tests mutate a
-copy of the *real* supervisor sources to prove a fresh asymmetry is
-caught.
+rule gets a good/bad fixture pair; the seeding tests mutate a copy of
+the *real* supervisor sources to prove a fresh asymmetry is caught.
 """
 
 from __future__ import annotations
@@ -260,158 +259,7 @@ class TestJournalProtocol:
         assert result.new_findings == []
 
 
-# -- wire protocol exhaustiveness --------------------------------------------
-
-SERVER_OK = """
-    class Service:
-        def _send(self, client, payload):
-            pass
-
-        def _reply(self, client, request, payload):
-            out = {"op": request.get("op"), "id": request.get("id")}
-            out.update(payload)
-            return self._send(client, out)
-
-        def _handle_request(self, client, request):
-            op = request.get("op")
-            if op == "ping":
-                self._reply(client, request, {"ok": True, "pid": 1})
-            elif op == "submit":
-                self._reply(client, request, {"ok": True, "results": []})
-            else:
-                self._reply(
-                    client, request, {"ok": False, "error": "unknown op"}
-                )
-"""
-
-CLIENT_OK = """
-    class ServiceClient:
-        def ping(self):
-            return self._roundtrip({"op": "ping"})
-
-        def submit(self, specs):
-            reply = self._roundtrip({"op": "submit", "specs": specs})
-            return reply["results"]
-
-        def _roundtrip(self, request):
-            return {}
-"""
-
-
-class TestWireProtocol:
-    def test_matched_endpoints_are_clean(self, tmp_path):
-        result = lint_many(
-            tmp_path,
-            {
-                "src/repro/supervisor/service.py": SERVER_OK,
-                "src/repro/supervisor/client.py": CLIENT_OK,
-            },
-            only=["PROTO-WIRE"],
-        )
-        assert result.new_findings == []
-
-    def test_unhandled_client_op_is_an_error(self, tmp_path):
-        result = lint_many(
-            tmp_path,
-            {
-                "src/repro/supervisor/service.py": SERVER_OK,
-                "src/repro/supervisor/client.py": CLIENT_OK + """
-
-    class WideClient:
-        def frob(self):
-            return self._roundtrip({"op": "frob"})
-
-        def _roundtrip(self, request):
-            return {}
-""",
-            },
-            only=["PROTO-WIRE"],
-        )
-        assert rule_ids(result) == ["PROTO-WIRE"]
-        [finding] = result.new_findings
-        assert "'frob'" in finding.message
-        assert finding.path == "src/repro/supervisor/client.py"
-
-    def test_missing_reply_key_is_an_error(self, tmp_path):
-        server = SERVER_OK.replace('"results": []', '"out": []')
-        result = lint_many(
-            tmp_path,
-            {
-                "src/repro/supervisor/service.py": server,
-                "src/repro/supervisor/client.py": CLIENT_OK,
-            },
-            only=["PROTO-WIRE"],
-        )
-        assert rule_ids(result) == ["PROTO-WIRE"]
-        [finding] = result.new_findings
-        assert "'results'" in finding.message
-        assert finding.path == "src/repro/supervisor/service.py"
-
-    def test_orphan_server_op_is_a_warning(self, tmp_path):
-        server = SERVER_OK.replace(
-            'elif op == "submit":',
-            'elif op == "legacy":\n'
-            '                self._reply(client, request, {"ok": True})\n'
-            '            elif op == "submit":',
-        )
-        result = lint_many(
-            tmp_path,
-            {
-                "src/repro/supervisor/service.py": server,
-                "src/repro/supervisor/client.py": CLIENT_OK,
-            },
-            only=["PROTO-WIRE"],
-        )
-        [finding] = result.new_findings
-        assert "'legacy'" in finding.message
-        assert finding.severity.value == "warning"
-
-
-class TestWireCorrelation:
-    def test_bare_error_send_is_an_error(self, tmp_path):
-        result = lint_many(
-            tmp_path,
-            {
-                "src/repro/supervisor/service.py": """
-                class Service:
-                    def _send(self, client, payload):
-                        pass
-
-                    def _handle_request(self, client, request):
-                        self._send(client, {"ok": False, "error": "nope"})
-                """
-            },
-            only=["PROTO-WIRE-CORR"],
-        )
-        assert rule_ids(result) == ["PROTO-WIRE-CORR"]
-
-    def test_correlated_error_send_is_clean(self, tmp_path):
-        result = lint_many(
-            tmp_path,
-            {
-                "src/repro/supervisor/service.py": """
-                class Service:
-                    def _send(self, client, payload):
-                        pass
-
-                    def _handle_request(self, client, request):
-                        self._send(
-                            client,
-                            {
-                                "ok": False,
-                                "error": "nope",
-                                "op": request.get("op"),
-                                "id": request.get("id"),
-                            },
-                        )
-                """
-            },
-            only=["PROTO-WIRE-CORR"],
-        )
-        assert result.new_findings == []
-
-
-# -- seeding asymmetries into a copy of the real service ---------------------
+# -- seeding asymmetries into a copy of the real supervisor ------------------
 
 
 class TestSeededServiceAsymmetries:
@@ -428,7 +276,7 @@ class TestSeededServiceAsymmetries:
         result = run_analysis(
             tmp_path,
             paths=["src/repro/supervisor"],
-            only_rules=["PROTO-JOURNAL", "PROTO-WIRE", "PROTO-WIRE-CORR"],
+            only_rules=["PROTO-JOURNAL"],
         )
         assert result.new_findings == []
 
@@ -445,22 +293,6 @@ class TestSeededServiceAsymmetries:
         )
         assert any(
             "'done2'" in f.message and "not declared" in f.message
-            for f in result.new_findings
-        )
-
-    def test_seeded_unmatched_wire_op_is_detected(self, tmp_path):
-        dest = self._copy_supervisor(tmp_path)
-        client = dest / "client.py"
-        text = client.read_text()
-        assert '{"op": "ping"}' in text
-        client.write_text(text.replace('{"op": "ping"}', '{"op": "ping2"}'))
-        result = run_analysis(
-            tmp_path,
-            paths=["src/repro/supervisor"],
-            only_rules=["PROTO-WIRE"],
-        )
-        assert any(
-            "'ping2'" in f.message and "no _handle_request" in f.message
             for f in result.new_findings
         )
 
@@ -605,11 +437,11 @@ class TestSignalSafety:
         result = lint_many(
             tmp_path,
             {
-                "src/repro/supervisor/service.py": """
+                "src/repro/supervisor/supervisor.py": """
                 import signal
 
 
-                class Service:
+                class Sweep:
                     def log(self, msg):
                         print(msg)
 
@@ -630,12 +462,12 @@ class TestSignalSafety:
         result = lint_many(
             tmp_path,
             {
-                "src/repro/supervisor/service.py": """
+                "src/repro/supervisor/supervisor.py": """
                 import os
                 import signal
 
 
-                class Service:
+                class Sweep:
                     def request_drain(self):
                         self._draining = True
 
@@ -653,7 +485,7 @@ class TestSignalSafety:
         assert result.new_findings == []
 
     def test_live_supervisor_handlers_are_safe(self):
-        """The shipped service/pool/sweep handlers must stay flag-only."""
+        """The shipped pool and sweep handlers must stay flag-only."""
         result = run_analysis(
             REPO_ROOT,
             paths=["src/repro/supervisor", "tools"],

@@ -1,4 +1,4 @@
-"""Supervisor: crash isolation, retry classification, and resume.
+"""Supervisor: admission, crash isolation, retry classification, resume.
 
 The acceptance bar: SIGKILLing a sweep (supervisor or worker, any
 moment) and resuming must produce results bit-identical to a sweep that
@@ -10,20 +10,35 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import time
+import tracemalloc
 
 import pytest
 
 from repro.supervisor import (
+    ADMITTED,
+    CACHED,
     DONE,
+    DUPLICATE,
     EXIT_PERMANENT,
     EXIT_TRANSIENT,
     FAILED,
+    PENDING,
+    REJECTED,
+    AdmissionQueue,
+    Journal,
     Manifest,
+    ResultCache,
     RunRecord,
     RunSpec,
     Supervisor,
+    spec_digest,
 )
+from repro.supervisor import journal as journal_module
 from repro.supervisor.worker import run_spec
+from repro.trace.tracer import MetricsRegistry
 
 #: Small, fast HPL point used throughout.
 HPL_PARAMS = {"n": 1000, "nb": 128, "slice_s": 0.02, "dt_s": 0.01}
@@ -45,37 +60,128 @@ def _result(sup, run_id):
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
+        """The manifest view holds every record field as JSON."""
         path = str(tmp_path / "manifest.json")
         m = Manifest(path, meta={"k": 1})
-        m.add_run(RunRecord(run_id="a", kind="hpl", params={"n": 4}))
+        m.runs["a"] = RunRecord(run_id="a", kind="hpl", params={"n": 4})
         m.runs["a"].status = DONE
         m.runs["a"].stuck = [{"name": "t", "cpu": 3, "core_type": "E-core"}]
         m.save()
-        back = Manifest.load(path)
-        assert back.meta == {"k": 1}
-        assert back.runs["a"].to_json() == m.runs["a"].to_json()
+        back = json.load(open(path))
+        assert back["meta"] == {"k": 1}
+        assert back["runs"]["a"] == m.runs["a"].to_json()
 
-    def test_version_gate(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        Manifest(path).save()
-        data = json.load(open(path))
-        data["version"] = 999
-        json.dump(data, open(path, "w"))
-        with pytest.raises(ValueError):
-            Manifest.load(path)
 
-    def test_duplicate_run_id_rejected(self, tmp_path):
-        m = Manifest(str(tmp_path / "m.json"))
-        m.add_run(RunRecord(run_id="a", kind="hpl", params={}))
-        with pytest.raises(ValueError):
-            m.add_run(RunRecord(run_id="a", kind="hpl", params={}))
+def _admission(tmp_path, cache=None):
+    journal = Journal(str(tmp_path / "journal.jsonl"))
+    journal.open_fresh()
+    return AdmissionQueue(
+        str(tmp_path), journal, {}, MetricsRegistry(), cache=cache
+    )
 
-    def test_interrupted_running_run_is_pending_again(self, tmp_path):
-        m = Manifest(str(tmp_path / "m.json"))
-        m.add_run(RunRecord(run_id="a", kind="hpl", params={}, status=DONE))
-        m.add_run(RunRecord(run_id="b", kind="hpl", params={}, status="running"))
-        todo = [r.run_id for r in m.pending_runs()]
-        assert todo == ["b"]
+
+class TestAdmission:
+    def test_idempotent_by_digest(self, tmp_path):
+        """The same spec under any id converges on one run: duplicate
+        verdicts point at the existing run, nothing is re-journaled."""
+        queue = _admission(tmp_path)
+        queue.admit([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
+        size = os.path.getsize(queue.journal.path)
+        again, to_enqueue = queue.admit(
+            [RunSpec("r1", "hpl", dict(HPL_PARAMS)),
+             RunSpec("other-name", "hpl", dict(HPL_PARAMS)),
+             RunSpec("", "hpl", dict(HPL_PARAMS))]
+        )
+        assert [v.disposition for v in again] == [DUPLICATE] * 3
+        assert {v.run_id for v in again} == {"r1"}
+        assert to_enqueue == []
+        assert os.path.getsize(queue.journal.path) == size  # no new bytes
+        assert len(queue.records) == 1
+
+    def test_anonymous_spec_gets_digest_id(self, tmp_path):
+        queue = _admission(tmp_path)
+        [verdict], _ = queue.admit([RunSpec("", "hpl", dict(HPL_PARAMS))])
+        digest = spec_digest("hpl", dict(HPL_PARAMS))
+        assert verdict.run_id == f"hpl-{digest[:12]}"
+
+    def test_id_conflict_is_rejected(self, tmp_path):
+        queue = _admission(tmp_path)
+        queue.admit([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
+        [verdict], to_enqueue = queue.admit(
+            [RunSpec("r1", "hpl", dict(HPL_PARAMS, n=2000))]
+        )
+        assert verdict.disposition == REJECTED
+        assert "different spec" in verdict.reason
+        assert to_enqueue == []
+        assert queue.records["r1"].params["n"] == HPL_PARAMS["n"]
+
+    def test_admission_cache_hit_is_zero_launch(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"), version="v1")
+        cache.put("hpl", dict(HPL_PARAMS), {"gflops": 1.5})
+        queue = _admission(tmp_path, cache=cache)
+        [verdict], to_enqueue = queue.admit([RunSpec("r2", "hpl", dict(HPL_PARAMS))])
+        queue.journal.close()
+        assert verdict.disposition == CACHED
+        assert verdict.status == DONE
+        assert to_enqueue == []  # never reaches the pool
+        record = queue.records["r2"]
+        assert record.cached
+        assert json.load(open(record.result_path)) == {"gflops": 1.5}
+        # The cached result was journaled inside the admission batch.
+        types = [
+            json.loads(line)["type"] for line in open(queue.journal.path)
+        ]
+        assert types == ["header", "add", "done"]
+        assert Journal.replay(queue.journal.path).records["r2"].cached
+
+
+class TestAdmissionScale:
+    @pytest.mark.slow
+    @pytest.mark.timeout(120)
+    def test_batched_admission_at_1e4_scale(self, tmp_path, monkeypatch):
+        """One batched admission of ten thousand specs lands within a
+        wall-time bound, in bounded memory, with one journal fsync — and
+        a full resubmit is pure dedup."""
+        n = 10_000
+        queue = _admission(tmp_path)
+        specs = [
+            RunSpec(f"r{i:05d}", "hpl", dict(HPL_PARAMS, n=1000 + i))
+            for i in range(n)
+        ]
+        fsyncs = []
+        real_fsync = journal_module.os.fsync
+        monkeypatch.setattr(
+            journal_module.os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+        )
+        tracemalloc.start()
+        t0 = time.monotonic()
+        verdicts, to_enqueue = queue.admit(specs)
+        admit_s = time.monotonic() - t0
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+
+        assert len(fsyncs) == 1
+        assert [v.disposition for v in verdicts] == [ADMITTED] * n
+        assert len(to_enqueue) == n
+        assert admit_s < 30.0, f"admission took {admit_s:.1f}s for {n} specs"
+        assert peak < 256 * 1024 * 1024, f"peak {peak / 1e6:.0f} MB"
+
+        # Everything admitted is durable — replay sees all n, pending.
+        state = Journal.replay(queue.journal.path)
+        assert len(state.records) == n
+        assert all(r.status == PENDING for r in state.records.values())
+
+        # Resubmitting the whole batch is pure dedup: zero new journal
+        # bytes, nothing to enqueue, and it must also be fast.
+        size = os.path.getsize(queue.journal.path)
+        t0 = time.monotonic()
+        verdicts, to_enqueue = queue.admit(specs)
+        dedup_s = time.monotonic() - t0
+        assert all(v.disposition == DUPLICATE for v in verdicts)
+        assert to_enqueue == []
+        assert os.path.getsize(queue.journal.path) == size
+        assert dedup_s < 10.0, f"dedup took {dedup_s:.1f}s"
+        queue.journal.close()
 
 
 class TestWorkerExitCodes:
@@ -238,6 +344,22 @@ class TestSupervisorSweeps:
         # Restored continuation == the uninterrupted original.
         assert _result(sup2, "two")["state_digest"] == digest_two
 
+    def test_resume_requeues_failed_run_with_fresh_budget(self, tmp_path):
+        spec = RunSpec(
+            "boom", "flaky-hpl",
+            dict(HPL_PARAMS, crash_at_s=0.02, crash_on_attempts=[1, 2, 3]),
+        )
+        manifest = _supervisor(tmp_path, max_attempts=1).run([spec])
+        assert manifest.runs["boom"].status == FAILED
+        sup = _supervisor(tmp_path, max_attempts=1)
+        manifest = sup.run([spec], resume=True)
+        # One fresh attempt, spent on the same deterministic crash.
+        assert manifest.runs["boom"].status == FAILED
+        assert manifest.runs["boom"].attempts == 1
+        with open(sup.journal_path) as fh:
+            requeues = [e for e in map(json.loads, fh) if e["type"] == "requeue"]
+        assert requeues == [{"type": "requeue", "run_id": "boom", "attempts": 0}]
+
     def test_wall_clock_timeout_kills_worker(self, tmp_path):
         sup = _supervisor(tmp_path, wall_timeout_s=0.2, max_attempts=1)
         manifest = sup.run([RunSpec("slow", "hpl", dict(HPL_PARAMS, n=20000))])
@@ -247,3 +369,55 @@ class TestSupervisorSweeps:
         # deadline (a "slow" kill), classified transient.
         assert rec.last_error["type"] in ("WallTimeout", "StuckWorker")
         assert rec.last_error["classification"] == "transient"
+
+
+SWEEP = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "sweep.py"
+)
+ONE_RUN = ["--n", "1000", "--variants", "openblas", "--backoff-s", "0"]
+
+
+def _sweep(*args):
+    return subprocess.run(
+        [sys.executable, SWEEP, *ONE_RUN, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(tmp_path_factory):
+    """A one-run sweep finished with ``--slice-s 0.05``."""
+    out = str(tmp_path_factory.mktemp("sweep") / "out")
+    done = _sweep("--out", out, "--slice-s", "0.05")
+    assert done.returncode == 0, done.stdout + done.stderr
+    return out
+
+
+class TestSweepCliRejectsChangedSpecs:
+    """``--resume`` with changed parameters names a different spec under
+    an existing run id: the sweep must say so and fail, not print the
+    old run as complete."""
+
+    def test_resume_with_changed_spec_exits_1_and_says_why(self, finished_sweep):
+        resumed = _sweep("--out", finished_sweep, "--resume", "--slice-s", "0.02")
+        assert resumed.returncode == 1, resumed.stdout + resumed.stderr
+        assert (
+            "hpl-openblas-n1000 rejected: run id 'hpl-openblas-n1000' "
+            "already names a different spec"
+        ) in resumed.stdout
+        assert "fleet metrics: none" in resumed.stdout  # nothing launched
+
+    def test_dry_run_plans_a_reject_with_the_reason(self, finished_sweep):
+        before = open(os.path.join(finished_sweep, "journal.jsonl"), "rb").read()
+        plan = _sweep(
+            "--out", finished_sweep, "--resume", "--dry-run", "--slice-s", "0.02"
+        )
+        assert plan.returncode == 0, plan.stdout + plan.stderr
+        [row] = [l for l in plan.stdout.splitlines() if l.startswith("hpl-openblas")]
+        assert row.split()[1] == "reject"
+        assert "already names a different spec" in row
+        assert "1 reject" in plan.stdout
+        after = open(os.path.join(finished_sweep, "journal.jsonl"), "rb").read()
+        assert after == before

@@ -1,14 +1,20 @@
-"""Journal, recovery, and result-cache unit tests.
+"""Journal, recovery, result-cache and sweep crash-safety tests.
 
-The crash-safety satellite: torn last lines are clean resumes, anything
-worse is a *clear* error — never a crash, never a silent skip.  Plus the
-deterministic result cache: hits must be byte-identical and free.
+Torn last lines are clean resumes, anything worse is a *clear* error —
+never a crash, never a silent skip.  The deterministic result cache's
+hits must be byte-identical and free.  And a ``tools/sweep.py``
+supervisor SIGKILLed mid-run or mid-drain must, on ``--resume``, reap
+the workers it left behind and finish every run exactly once.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -18,10 +24,10 @@ from repro.supervisor import (
     RUNNING,
     Journal,
     JournalError,
-    Manifest,
     ResultCache,
     RunSpec,
     Supervisor,
+    read_heartbeat,
     spec_digest,
 )
 
@@ -105,11 +111,15 @@ class TestJournalReplay:
             Journal.replay(path)
 
     def test_version_mismatch_is_an_error(self, tmp_path):
+        # Version 1 journals may carry `cancel` events and state-bearing
+        # `add` events that this replay no longer speaks.
         path = str(tmp_path / "journal.jsonl")
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"type": "header", "version": 999}) + "\n")
-        with pytest.raises(JournalError, match="version 999"):
-            Journal.replay(path)
+        for version in (1, 999):
+            with open(path, "w") as fh:
+                fh.write(json.dumps({"type": "header", "version": version}) + "\n")
+                fh.write(json.dumps({"type": "cancel", "run_id": "a"}) + "\n")
+            with pytest.raises(JournalError, match=f"version {version}"):
+                Journal.replay(path)
 
     def test_unknown_run_is_an_error(self, tmp_path):
         path = _journal(
@@ -197,25 +207,19 @@ class TestSupervisorRecovery:
         assert manifest.runs["only"].status == DONE
         assert any("starting fresh" in e for e in events)
 
-    def test_resume_from_legacy_manifest_only_dir(self, tmp_path):
-        """A pre-journal sweep directory (manifest.json, no journal)
-        imports cleanly and resumes under the journal regime."""
+    def test_resume_without_journal_starts_fresh(self, tmp_path):
+        """A directory with a manifest but no journal holds nothing
+        durable: resume starts the sweep from scratch."""
         sup = self._completed_sweep(tmp_path)
         os.unlink(sup.journal_path)
         events = []
-        sup2 = Supervisor(sup.out_dir, workers=1, log=events.append)
+        sup2 = Supervisor(
+            sup.out_dir, backoff_s=0.0, workers=1, log=events.append
+        )
         manifest = sup2.run([RunSpec("only", "hpl", dict(HPL_PARAMS))], resume=True)
         assert manifest.runs["only"].status == DONE
-        assert any("legacy manifest" in e for e in events)
-        assert any("skipped" in e for e in events)
-        assert os.path.exists(sup.journal_path)
-
-    def test_corrupt_manifest_is_a_clear_error(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        with open(path, "w") as fh:
-            fh.write('{"version": 1, "runs": {"a"')  # truncated copy
-        with pytest.raises(ValueError, match="corrupt"):
-            Manifest.load(path)
+        assert any("no journal" in e for e in events)
+        assert not any("skipped" in e for e in events)
 
 
 class TestResultCache:
@@ -292,337 +296,152 @@ class TestResultCache:
             assert a == b
 
 
-class TestJournalCompaction:
-    def _busy_journal(self, tmp_path):
-        """A journal with a long event history over three runs."""
-        path = str(tmp_path / "journal.jsonl")
-        j = Journal(path)
-        j.open_fresh(meta={"workers": 2})
-        j.append({"type": "add", "run_id": "a", "kind": "hpl", "params": {"n": 1}})
-        j.append({"type": "add", "run_id": "b", "kind": "hpl", "params": {"n": 2}})
-        j.append({"type": "add", "run_id": "c", "kind": "hpl", "params": {"n": 3}})
-        for attempt in (1, 2):
-            j.append({"type": "launch", "run_id": "a", "attempt": attempt,
-                      "slot": 0, "resume_from": None, "pid": 100 + attempt})
-            j.append({"type": "exit", "run_id": "a", "attempt": attempt,
-                      "code": -9, "liveness": "stuck",
-                      "error": {"type": "StuckWorker"},
-                      "checkpoint_path": "a/checkpoint.snap"})
-            j.append({"type": "retry", "run_id": "a", "next_attempt": attempt + 1,
-                      "delay_s": 0.0, "migrated": True, "from_slot": 0})
-        j.append({"type": "launch", "run_id": "b", "attempt": 1, "slot": 1,
-                  "resume_from": None, "pid": 200})
-        j.append({"type": "done", "run_id": "b", "attempt": 1,
-                  "result_path": "b/result.json", "cached": False})
-        j.append({"type": "launch", "run_id": "c", "attempt": 1, "slot": 0,
-                  "resume_from": None, "pid": 300})
-        j.close()
-        return path
+SWEEP = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tools",
+    "sweep.py",
+)
 
-    def test_compaction_preserves_replayed_state(self, tmp_path):
-        path = self._busy_journal(tmp_path)
-        before = Journal.replay(path)
-        size_before = os.path.getsize(path)
-        Journal.compact(path)
-        after = Journal.replay(path)
-        assert os.path.getsize(path) < size_before
-        assert set(after.records) == set(before.records)
-        for rid, want in before.records.items():
-            assert after.records[rid].to_json() == want.to_json(), rid
-        # One full-fidelity add per run, nothing else.
-        assert after.events == len(before.records)
-        # The RUNNING run kept its pid — a rebooting daemon still knows
-        # which orphan to reap after compaction.
-        assert after.records["c"].last_pid == 300
-
-    def test_compaction_keeps_the_old_history_as_bak(self, tmp_path):
-        path = self._busy_journal(tmp_path)
-        before = Journal.replay(path)
-        Journal.compact(path)
-        bak = Journal.replay(path + ".bak")
-        assert bak.events == before.events  # the full history, untouched
-
-    def test_compacted_journal_accepts_appends(self, tmp_path):
-        path = self._busy_journal(tmp_path)
-        Journal.compact(path)
-        j = Journal(path)
-        j.open_append()
-        j.append({"type": "done", "run_id": "c", "attempt": 1,
-                  "result_path": "c/result.json", "cached": False})
-        j.close()
-        state = Journal.replay(path)
-        assert state.records["c"].status == DONE
-
-    def test_compaction_refuses_corrupt_input(self, tmp_path):
-        path = self._busy_journal(tmp_path)
-        lines = open(path).read().splitlines()
-        lines[2] = '{"type": "add", "run_'
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        before = open(path, "rb").read()
-        with pytest.raises(JournalError):
-            Journal.compact(path)
-        # Refusal is side-effect free: the journal bytes are untouched.
-        assert open(path, "rb").read() == before
+#: Two HPL runs; chaos seed 17 wedges ``hpl-openblas-n1000`` at sim
+#: 0.06 s on attempt 1 (alive, heartbeating, no progress) and leaves
+#: ``hpl-openblas-n1100`` calm.  The long stuck window keeps the wedged
+#: worker in flight until the test kills its supervisor.
+WEDGE = "hpl-openblas-n1000"
+WEDGE_SWEEP_ARGS = [
+    "--n", "1000", "1100",
+    "--variants", "openblas",
+    "--chaos-seed", "17",
+    "--stuck-after-s", "60",
+    "--workers", "2",
+    "--backoff-s", "0",
+    "--slice-s", "0.02",
+    "--checkpoint-every-s", "0.04",
+]
 
 
-class TestResultCacheEviction:
-    def _paths(self, cache, ns):
-        return {n: cache._path(cache.key("hpl", {"n": n})) for n in ns}
-
-    def test_max_entries_evicts_oldest(self, tmp_path):
-        evicted = []
-        cache = ResultCache(
-            str(tmp_path / "cache"), version="v1",
-            max_entries=2, on_evict=evicted.append,
-        )
-        for i, n in enumerate((1, 2)):
-            cache.put("hpl", {"n": n}, {"gflops": float(n)})
-            os.utime(self._paths(cache, [n])[n], (100.0 + i, 100.0 + i))
-        cache.put("hpl", {"n": 3}, {"gflops": 3.0})
-        assert cache.get("hpl", {"n": 1}) is None  # oldest: gone
-        assert cache.get("hpl", {"n": 2}) == {"gflops": 2.0}
-        assert cache.get("hpl", {"n": 3}) == {"gflops": 3.0}
-        assert cache.evictions == 1
-        assert evicted == [1]
-
-    def test_hit_refreshes_recency(self, tmp_path):
-        cache = ResultCache(
-            str(tmp_path / "cache"), version="v1", max_entries=2,
-        )
-        for i, n in enumerate((1, 2)):
-            cache.put("hpl", {"n": n}, {"gflops": float(n)})
-            os.utime(self._paths(cache, [n])[n], (100.0 + i, 100.0 + i))
-        # A hit on the older entry makes it the newest...
-        assert cache.get("hpl", {"n": 1}) == {"gflops": 1.0}
-        cache.put("hpl", {"n": 3}, {"gflops": 3.0})
-        # ... so the eviction falls on n=2 instead.
-        assert cache.get("hpl", {"n": 1}) == {"gflops": 1.0}
-        assert cache.get("hpl", {"n": 2}) is None
-
-    def test_max_bytes_evicts_down_to_budget(self, tmp_path):
-        cache = ResultCache(
-            str(tmp_path / "cache"), version="v1", max_bytes=1,
-        )
-        # A 1-byte budget can hold nothing: every put evicts what is
-        # over budget, including the entry it just stored.
-        cache.put("hpl", {"n": 1}, {"gflops": 1.0})
-        cache.put("hpl", {"n": 2}, {"gflops": 2.0})
-        assert cache.get("hpl", {"n": 1}) is None
-        assert cache.get("hpl", {"n": 2}) is None
-        assert cache.evictions == 2
-
-    def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"), version="v1")
-        for n in range(20):
-            cache.put("hpl", {"n": n}, {"gflops": float(n)})
-        assert cache.evictions == 0
-        assert all(
-            cache.get("hpl", {"n": n}) == {"gflops": float(n)}
-            for n in range(20)
-        )
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
-class TestDaemonCrashSafety:
-    """SIGKILL the daemon at the worst instants; restart must lose
-    nothing and double-run nothing.
+def _wait_dead(pid: int, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while _alive(pid):
+        if time.monotonic() > deadline:
+            os.killpg(pid, signal.SIGKILL)
+            raise AssertionError(f"orphan worker {pid} still alive")
+        time.sleep(0.05)
 
-    "Nothing lost": every run whose admission was acknowledged (or
-    resubmitted — admission is idempotent) reaches ``done``.  "Nothing
-    doubled": replay itself proves it — a duplicate ``add`` is a
+
+def _journal_events(out: str) -> list[dict]:
+    """Journal events up to a torn tail (SIGKILL debris)."""
+    events = []
+    with open(os.path.join(out, "journal.jsonl"), "rb") as fh:
+        for line in fh.read().splitlines():
+            try:
+                events.append(json.loads(line))
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                break
+    return events
+
+
+class TestSweepCrashSafety:
+    """SIGKILL a one-shot ``tools/sweep.py`` supervisor — never its
+    workers — at the worst instants; ``--resume`` must lose nothing and
+    double-run nothing.
+
+    "Nothing lost": every run reaches ``done``.  "Nothing doubled":
+    replay itself proves it — a duplicate ``add`` is a
     :class:`JournalError` — and each run records exactly one ``done``.
     """
 
-    def _assert_exactly_once(self, journal_path, run_ids):
-        state = Journal.replay(journal_path)  # raises on duplicated adds
-        events = [json.loads(line) for line in open(journal_path)]
-        for rid in run_ids:
-            assert state.records[rid].status == DONE
+    def _start_wedged_sweep(self, tmp_path):
+        """Start the sweep in its own session and wait until the wedged
+        worker heartbeats past its stall point; returns (proc, out dir,
+        wedged worker pid, log path)."""
+        out = str(tmp_path / "sweep")
+        log_path = str(tmp_path / "sweep.log")
+        with open(log_path, "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, SWEEP, "--out", out, *WEDGE_SWEEP_ARGS],
+                stdout=log,
+                stderr=subprocess.STDOUT,
+                start_new_session=True,
+            )
+        heartbeat = os.path.join(out, WEDGE, "heartbeat.json")
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            hb = read_heartbeat(heartbeat)
+            if hb is not None and (hb.get("sim_time_s") or 0.0) >= 0.06:
+                return proc, out, hb["pid"], log_path
+            assert proc.poll() is None, open(log_path).read()
+            time.sleep(0.02)
+        proc.kill()
+        raise AssertionError("the wedged run never reached its stall point")
+
+    def _resume(self, out):
+        return subprocess.run(
+            [sys.executable, SWEEP, "--out", out, *WEDGE_SWEEP_ARGS, "--resume"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def _assert_exactly_once(self, out):
+        # Replay raises on duplicated adds.
+        state = Journal.replay(os.path.join(out, "journal.jsonl"))
+        events = _journal_events(out)
+        assert set(state.records) == {WEDGE, "hpl-openblas-n1100"}
+        for rid, record in state.records.items():
+            assert record.status == DONE
             dones = [
                 e for e in events
                 if e["type"] == "done" and e.get("run_id") == rid
             ]
             assert len(dones) == 1, f"{rid} finished {len(dones)} times"
 
-    def test_sigkill_mid_admission_batch_is_durable(self, tmp_path):
-        """The env chaos hook kills the daemon *after* the admission
-        batch is fsync'd but *before* anything is enqueued or acked.
-        The client saw a transport error; resubmitting after restart
-        converges on the already-durable jobs."""
-        from tests.test_supervisor_service import _Daemon
-
-        out = str(tmp_path / "svc")
-        daemon = _Daemon(
-            out, env_extra={"REPRO_SERVICE_KILL_AFTER_ADMIT": "1"}
-        )
-        specs = [
-            RunSpec(f"r{i}", "hpl", dict(HPL_PARAMS, n=1000 + 100 * i))
-            for i in range(3)
-        ]
-        try:
-            daemon.wait_ready()
-            with pytest.raises(OSError):
-                daemon.client(attempts=1).submit(specs)
-            assert daemon.proc.wait(timeout=30) != 0  # died by SIGKILL
-            # The batch fsync beat the kill: replay already knows them.
-            state = Journal.replay(os.path.join(out, "journal.jsonl"))
-            assert {s.run_id for s in specs} <= set(state.records)
-        finally:
-            daemon.stop()
-
-        daemon = _Daemon(out)
-        try:
-            daemon.wait_ready()
-            client = daemon.client()
-            verdicts = client.submit(specs)  # idempotent convergence
-            assert all(
-                v["disposition"] in ("duplicate", "admitted")
-                for v in verdicts
-            )
-            client.wait([s.run_id for s in specs], deadline_s=60)
-            client.shutdown()
-            daemon.proc.wait(timeout=30)
-        finally:
-            daemon.stop()
-        self._assert_exactly_once(
-            os.path.join(out, "journal.jsonl"), [s.run_id for s in specs]
-        )
-
     def test_sigkill_mid_run_reaps_orphan_and_finishes(self, tmp_path):
-        """Daemon dies while a worker is wedged mid-run: the worker (its
-        own session leader) survives as an orphan.  The rebooted daemon
-        must reap it before relaunching the run."""
-        import time as _time
+        """The supervisor dies while a worker is wedged mid-run: the
+        worker (its own session leader) survives as an orphan.  The
+        resumed sweep must kill its group before relaunching the run."""
+        proc, out, pid, _ = self._start_wedged_sweep(tmp_path)
+        proc.kill()
+        proc.wait()
+        assert _alive(pid), "the wedged worker should outlive its supervisor"
 
-        from tests.test_supervisor_service import _Daemon
-
-        out = str(tmp_path / "svc")
-        specs = [
-            RunSpec("wedge", "flaky-hpl",
-                    dict(HPL_PARAMS, stall_at_s=0.03, stall_on_attempts=[1])),
-            RunSpec("calm", "hpl", dict(HPL_PARAMS)),
+        resumed = self._resume(out)
+        assert resumed.returncode == 0, resumed.stdout + resumed.stderr
+        _wait_dead(pid)
+        # The reap precedes the wedged run's relaunch.
+        lines = resumed.stdout.splitlines()
+        reaped = [i for i, l in enumerate(lines) if "orphaned worker group" in l]
+        relaunch = [
+            i for i, l in enumerate(lines) if f"{WEDGE}: attempt 2/" in l
         ]
-        daemon = _Daemon(out, extra=("--stuck-after-s", "60"))
-        try:
-            daemon.wait_ready()
-            client = daemon.client()
-            client.submit(specs)
-            deadline = _time.monotonic() + 30
-            pid = None
-            while _time.monotonic() < deadline:
-                pid = client.status()["in_flight"].get("wedge")
-                if pid is not None:
-                    break
-                _time.sleep(0.02)
-            assert pid is not None, "wedged run never launched"
-            daemon.sigkill()
-            os.kill(pid, 0)  # the worker outlived its daemon: orphaned
-        finally:
-            daemon.stop()
-
-        daemon = _Daemon(out, extra=("--stuck-after-s", "60"))
-        try:
-            daemon.wait_ready()
-            # Boot reaped the orphan's process group before relaunching.
-            deadline = _time.monotonic() + 10
-            while _time.monotonic() < deadline:
-                try:
-                    os.kill(pid, 0)
-                except ProcessLookupError:
-                    break
-                _time.sleep(0.05)
-            else:
-                raise AssertionError(f"orphan worker {pid} still alive")
-            client = daemon.client()
-            jobs = client.wait(["wedge", "calm"], deadline_s=60)
-            assert all(j["status"] == DONE for j in jobs)
-            client.shutdown()
-            daemon.proc.wait(timeout=30)
-        finally:
-            daemon.stop()
-        self._assert_exactly_once(
-            os.path.join(out, "journal.jsonl"), ["wedge", "calm"]
-        )
+        assert reaped and relaunch and reaped[0] < relaunch[0], resumed.stdout
+        self._assert_exactly_once(out)
 
     def test_sigkill_mid_drain_resumes_clean(self, tmp_path):
-        """Drain requested, then SIGKILL before it completes: drain is a
-        runtime request, not durable state — the rebooted daemon simply
-        finishes the journaled backlog."""
-        from tests.test_supervisor_service import _Daemon
+        """SIGTERM starts a drain the wedged worker never honours (the
+        pool waits out its grace window), then SIGKILL lands mid-drain:
+        drain is a runtime request, not durable state, so the resumed
+        sweep simply finishes the journaled backlog."""
+        proc, out, pid, log_path = self._start_wedged_sweep(tmp_path)
+        os.kill(proc.pid, signal.SIGTERM)
+        deadline = time.monotonic() + 10
+        while "SIGTERM: draining" not in open(log_path).read():
+            assert time.monotonic() < deadline, "SIGTERM never acknowledged"
+            time.sleep(0.02)
+        assert proc.poll() is None, "the drain finished before the kill"
+        proc.kill()
+        proc.wait()
+        events = _journal_events(out)
+        assert not [e for e in events if e["type"] in ("drain", "complete")]
 
-        out = str(tmp_path / "svc")
-        specs = [
-            RunSpec(f"r{i}", "hpl", dict(HPL_PARAMS, n=1000 + 100 * i))
-            for i in range(4)
-        ]
-        daemon = _Daemon(out)
-        try:
-            daemon.wait_ready()
-            client = daemon.client()
-            client.submit(specs)
-            client.drain()
-            daemon.sigkill()
-        finally:
-            daemon.stop()
-
-        daemon = _Daemon(out)
-        try:
-            daemon.wait_ready()
-            client = daemon.client()
-            jobs = client.wait([s.run_id for s in specs], deadline_s=60)
-            assert all(j["status"] == DONE for j in jobs)
-            client.shutdown()
-            daemon.proc.wait(timeout=30)
-        finally:
-            daemon.stop()
-        self._assert_exactly_once(
-            os.path.join(out, "journal.jsonl"), [s.run_id for s in specs]
-        )
-
-    def test_daemon_boot_compacts_an_oversized_journal(self, tmp_path):
-        """Past the size threshold, `serve` compacts on boot: same
-        replayed state, smaller file, old history in the .bak."""
-        from tests.test_supervisor_service import _Daemon
-
-        out = str(tmp_path / "svc")
-        # A first daemon builds up real history.
-        daemon = _Daemon(out)
-        specs = [
-            RunSpec(f"r{i}", "hpl", dict(HPL_PARAMS, n=1000 + 100 * i))
-            for i in range(3)
-        ]
-        try:
-            daemon.wait_ready()
-            client = daemon.client()
-            client.submit(specs)
-            client.wait([s.run_id for s in specs], deadline_s=60)
-            client.shutdown()
-            daemon.proc.wait(timeout=30)
-        finally:
-            daemon.stop()
-
-        journal_path = os.path.join(out, "journal.jsonl")
-        before = Journal.replay(journal_path)
-        size_before = os.path.getsize(journal_path)
-
-        daemon = _Daemon(out, extra=("--compact-threshold-bytes", "64"))
-        try:
-            daemon.wait_ready()
-            client = daemon.client()
-            # Still answers from the (compacted) journal: zero launches.
-            verdicts = client.submit(specs)
-            assert all(v["disposition"] == "duplicate" for v in verdicts)
-            assert all(v["status"] == DONE for v in verdicts)
-            client.shutdown()
-            daemon.proc.wait(timeout=30)
-        finally:
-            daemon.stop()
-
-        assert os.path.exists(journal_path + ".bak")
-        after = Journal.replay(journal_path)
-        assert set(after.records) == set(before.records)
-        for rid in before.records:
-            assert after.records[rid].status == before.records[rid].status
-        # Compacted boot state was smaller than the full history.
-        bak_size = os.path.getsize(journal_path + ".bak")
-        assert bak_size == size_before
+        resumed = self._resume(out)
+        assert resumed.returncode == 0, resumed.stdout + resumed.stderr
+        _wait_dead(pid)
+        self._assert_exactly_once(out)

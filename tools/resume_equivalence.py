@@ -16,18 +16,12 @@ Default mode:
 ``--soak`` escalates to the fleet: a 16-job sweep on a worker pool with
 deterministic chaos injection (crashes + stalls → migrations), where a
 seeded-random *worker* is SIGKILLed mid-fleet, then the *supervisor*
-itself is SIGKILLed, orphaned workers are cleaned up, and the resumed
-sweep must still end byte-identical to the calm reference.
+itself is SIGKILLed, and the resumed sweep must still end byte-identical
+to the calm reference.
 
-``--daemon`` runs the same chaos fleet through the long-running
-measurement service instead of the one-shot path: jobs are submitted
-over the unix socket, a seeded-random worker is SIGKILLed, then the
-*daemon* is SIGKILLed mid-fleet — deliberately leaving its workers
-orphaned, because reaping them is the rebooted daemon's own job.  The
-daemon is restarted, the identical batch is resubmitted (admission is
-idempotent — every verdict must be a duplicate or requeue, never a
-fresh add), drained, and the results must be byte-identical to the calm
-one-shot reference.
+In both modes the workers the killed supervisor leaves running are
+deliberately left alone: reaping them before relaunching is the
+``--resume`` path's own job, so this gate exercises it.
 
 Exits 0 on equivalence, 1 on any difference or failed run.
 """
@@ -65,20 +59,6 @@ SOAK_ARGS = [
     "--stuck-after-s", "0.8",
 ]
 SOAK_CHAOS_ARGS = [*SOAK_ARGS, "--chaos-seed", "8"]
-
-#: Daemon soak: the same fleet sweep split across the service CLI —
-#: pool tuning goes to ``serve``, the job batch goes to ``submit``.
-DAEMON_SERVE_ARGS = [
-    "--workers", "4",
-    "--stuck-after-s", "0.8",
-    "--checkpoint-every-s", "0.04",
-    "--backoff-s", "0",
-]
-DAEMON_SUBMIT_ARGS = [
-    "--preset", "fleet",
-    "--slice-s", "0.02",
-    "--chaos-seed", "8",
-]
 
 
 # -- journal reading ---------------------------------------------------------
@@ -133,6 +113,14 @@ def inflight_checkpoint(out_dir: str) -> bool:
     )
 
 
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except OSError:
+        return False
+    return True
+
+
 def kill_pid(pid: int, sig: int = signal.SIGKILL) -> bool:
     """Kill a process group (workers lead their own session), falling
     back to the single pid; True if something was signalled."""
@@ -143,21 +131,6 @@ def kill_pid(pid: int, sig: int = signal.SIGKILL) -> bool:
         except (ProcessLookupError, PermissionError, OSError):
             continue
     return False
-
-
-def kill_orphan_workers(out_dir: str) -> int:
-    """SIGKILL every worker the journal launched that is still alive.
-
-    Workers run in their own sessions, so killing the supervisor's
-    process group does NOT take them down — exactly the situation a real
-    crashed host leaves behind.  The journal has every launched pid.
-    """
-    killed = 0
-    for e in journal_events(out_dir):
-        if e.get("type") == "launch" and e.get("pid"):
-            if kill_pid(e["pid"]):
-                killed += 1
-    return killed
 
 
 # -- sweep drivers -----------------------------------------------------------
@@ -236,91 +209,15 @@ def run_sweep_and_kill(
             # Kill the supervisor's whole group...
             os.killpg(proc.pid, signal.SIGKILL)
     proc.wait()
-    # ...and the workers it orphaned (they lead their own sessions).
-    orphans = kill_orphan_workers(out_dir)
+    # The workers it orphaned lead their own sessions and keep running;
+    # the --resume under test must reap them.
     progress = journal_progress(out_dir)
+    orphans = sum(1 for pid in progress["running"].values() if pid and alive(pid))
     print(
         f"[equiv] killed sweep mid-flight "
         f"(done {progress['done']}/{progress['total']}, "
-        f"{orphans} orphan pid(s) swept)"
+        f"{orphans} orphaned worker(s) left for --resume to reap)"
     )
-
-
-# -- daemon drivers ----------------------------------------------------------
-
-
-def start_daemon(out_dir: str, boot_wait_s: float = 60.0) -> subprocess.Popen:
-    """Start ``sweep.py serve`` in its own group; wait for its socket."""
-    proc = subprocess.Popen(
-        [sys.executable, SWEEP, "serve", "--out", out_dir, *DAEMON_SERVE_ARGS],
-        start_new_session=True,
-    )
-    sock = os.path.join(out_dir, "service.sock")
-    deadline = time.monotonic() + boot_wait_s
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise SystemExit(f"daemon exited {proc.returncode} during boot")
-        if os.path.exists(sock):
-            return proc
-        time.sleep(0.05)
-    raise SystemExit("daemon never bound its socket")
-
-
-def run_daemon_and_kill(out_dir: str, kill_worker_seed: int, max_wait_s: float = 600.0) -> None:
-    """Submit the chaos fleet to a daemon, SIGKILL a worker, then SIGKILL
-    the daemon mid-fleet — leaving its surviving workers orphaned (the
-    rebooted daemon must reap them itself)."""
-    daemon = start_daemon(out_dir)
-    try:
-        subprocess.run(
-            [sys.executable, SWEEP, "submit", "--out", out_dir,
-             *DAEMON_SUBMIT_ARGS],
-            check=True,
-        )
-        _watch_until_mid_sweep(daemon, out_dir, kill_worker_seed, max_wait_s)
-    finally:
-        if daemon.poll() is None:
-            os.killpg(daemon.pid, signal.SIGKILL)
-    daemon.wait()
-    # Deliberately do NOT sweep orphans here: boot-time orphan reaping
-    # is part of the daemon contract under test.
-    orphans = 0
-    for e in journal_events(out_dir):
-        if e.get("type") == "launch" and e.get("pid"):
-            try:
-                os.kill(e["pid"], 0)
-            except (ProcessLookupError, PermissionError, OSError):
-                continue
-            orphans += 1
-    progress = journal_progress(out_dir)
-    print(
-        f"[equiv] SIGKILLed daemon mid-fleet "
-        f"(done {progress['done']}/{progress['total']}, "
-        f"{orphans} worker(s) left orphaned for the reboot to reap)"
-    )
-
-
-def finish_daemon(out_dir: str) -> None:
-    """Reboot the daemon, resubmit the identical batch (idempotent),
-    wait for completion, and drain it down cleanly."""
-    daemon = start_daemon(out_dir)
-    try:
-        subprocess.run(
-            [sys.executable, SWEEP, "submit", "--out", out_dir,
-             *DAEMON_SUBMIT_ARGS, "--wait"],
-            check=True,
-        )
-        subprocess.run(
-            [sys.executable, SWEEP, "shutdown", "--out", out_dir],
-            check=True,
-        )
-        code = daemon.wait(timeout=120)
-        if code != 0:
-            raise SystemExit(f"rebooted daemon exited {code}, expected 0")
-    finally:
-        if daemon.poll() is None:
-            os.killpg(daemon.pid, signal.SIGKILL)
-            daemon.wait()
 
 
 # -- comparison --------------------------------------------------------------
@@ -365,10 +262,6 @@ def main(argv=None) -> int:
     parser.add_argument("--soak", action="store_true",
                         help="fleet soak: chaos sweep + worker SIGKILL "
                              "+ supervisor SIGKILL + resume")
-    parser.add_argument("--daemon", action="store_true",
-                        help="daemon soak: the chaos fleet through the "
-                             "service socket, SIGKILL worker + daemon, "
-                             "reboot, idempotent resubmit, drain")
     parser.add_argument("--worker-kill-seed", type=int, default=1,
                         help="seed picking which in-flight worker dies")
     args = parser.parse_args(argv)
@@ -379,17 +272,7 @@ def main(argv=None) -> int:
     shutil.rmtree(base, ignore_errors=True)
     os.makedirs(base)
 
-    if args.daemon:
-        # The reference is the CALM ONE-SHOT fleet: the daemon path must
-        # converge on exactly what the classic path produces.
-        print("[equiv] daemon phase 1: calm reference fleet (one-shot)")
-        run_sweep(ref_dir, SOAK_ARGS)
-        print("[equiv] daemon phase 2: chaos fleet via the service, "
-              "worker+daemon SIGKILL")
-        run_daemon_and_kill(killed_dir, args.worker_kill_seed)
-        print("[equiv] daemon phase 3: reboot, idempotent resubmit, drain")
-        finish_daemon(killed_dir)
-    elif args.soak:
+    if args.soak:
         # The reference is CALM (no chaos): the chaos+kills sweep must
         # converge on what an undisturbed sequential fleet produces.
         print("[equiv] soak phase 1: calm reference fleet (uninterrupted)")

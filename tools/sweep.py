@@ -1,40 +1,26 @@
 #!/usr/bin/env python3
-"""Run HPL experiment sweeps under the fault-tolerant measurement service.
+"""Run HPL experiment sweeps under the fault-tolerant supervisor.
 
-Two ways to drive the same service core:
-
-**One-shot** (the classic path — no subcommand)::
+::
 
     python tools/sweep.py --out runs/sweep1
     # ... SIGKILL at any point (workers, supervisor, or both) ...
     python tools/sweep.py --out runs/sweep1 --resume
 
-``--resume`` replays the journal, skips runs already done, and restarts
-the rest from their latest checkpoint; the results are bit-identical to
-a sweep that was never interrupted (``tools/resume_equivalence.py`` is
-the CI gate that enforces exactly that).  ``--dry-run`` prints the
-admission plan — which runs would be admitted, requeued, or skipped —
-and touches nothing.
+``--resume`` replays the journal, reaps the workers a killed supervisor
+left running, skips runs already done, and restarts the rest from their
+latest checkpoint; the results are bit-identical to a sweep that was
+never interrupted (``tools/resume_equivalence.py`` is the CI gate that
+enforces exactly that).  A spec whose run id already names a different
+spec in the journal (say, a ``--resume`` with a changed ``--slice-s``)
+is rejected with its reason, not run.  ``--dry-run`` prints the
+admission plan — which runs would be admitted, requeued, resumed,
+skipped or rejected — and touches nothing.
 
-**Service mode** (the long-running daemon)::
-
-    python tools/sweep.py serve --out runs/svc &        # start the daemon
-    python tools/sweep.py submit --out runs/svc --preset quick --wait
-    python tools/sweep.py status --out runs/svc
-    python tools/sweep.py watch --out runs/svc hpl-openblas-n1000
-    python tools/sweep.py shutdown --out runs/svc       # drain + exit
-
-The daemon owns the worker pool and admits jobs over a unix socket
-(``<out>/service.sock``): submits are idempotent by spec digest (a
-resubmitted finished spec answers from the journal with zero launches),
-admission is journaled+fsync'd before it is acknowledged, and a daemon
-SIGKILLed at any instant reboots with ``serve`` to the exact same
-state — orphaned workers reaped, queued jobs still queued.
-
-Exit codes: 0 success; 1 failures (or unfinished runs); 3 drained on
-SIGTERM (``--resume`` or re-``serve`` finishes the job); 4 the journal
-is corrupt and cannot be trusted (restore ``journal.jsonl`` or its
-``.bak``, or start fresh).
+Exit codes: 0 success; 1 failed runs, rejected specs or unfinished
+runs; 3 drained on SIGTERM (``--resume`` finishes the job); 4 the
+journal is corrupt or of another version and cannot be trusted
+(restore ``journal.jsonl`` or start a fresh ``--out``).
 """
 
 from __future__ import annotations
@@ -53,24 +39,18 @@ sys.path.insert(
 from repro.supervisor import (  # noqa: E402
     DONE,
     FAILED,
-    CANCELLED,
-    JournalError,
     Journal,
-    MeasurementService,
-    RetryPolicy,
+    JournalError,
     RunSpec,
-    ServiceClient,
-    ServiceCore,
-    ServiceError,
     Supervisor,
-    socket_path_for,
 )
+from repro.supervisor.queue import id_conflict  # noqa: E402
 
 #: Exit code when the sweep drained on SIGTERM (resume to continue).
 EXIT_DRAINED = 3
 #: Exit code when the journal is corrupt (mid-file tear, bad version,
-#: unknown events): nothing was touched; restore the journal (or its
-#: ``.bak`` from the last compaction) or start a fresh out dir.
+#: unknown events): nothing was touched; restore the journal or start a
+#: fresh out dir.
 EXIT_JOURNAL = 4
 
 #: Sweep presets: problem sizes kept small enough to iterate on quickly.
@@ -84,9 +64,6 @@ PRESETS = {
         "variants": ["openblas", "intel"],
     },
 }
-
-SUBCOMMANDS = ("serve", "submit", "watch", "status", "shutdown")
-
 
 def build_runs(args: argparse.Namespace) -> list[RunSpec]:
     preset = PRESETS[args.preset]
@@ -181,17 +158,20 @@ def dry_run_plan(args: argparse.Namespace, runs: list[RunSpec]) -> int:
     records = {}
     if args.resume and os.path.exists(journal_path) and os.path.getsize(journal_path):
         records = Journal.replay(journal_path).records
-    plans = {"admit": 0, "skip": 0, "requeue": 0, "resume": 0}
+    plans = {"admit": 0, "skip": 0, "requeue": 0, "resume": 0, "reject": 0}
     print(f"{'run':28s} {'plan':8s} reason")
     for spec in runs:
         existing = records.get(spec.run_id)
+        conflict = id_conflict(existing, spec) if existing else None
         if existing is None:
             plan, why = "admit", "new spec"
+        elif conflict:
+            plan, why = "reject", conflict
         elif existing.status == DONE:
             plan, why = "skip", "already done" + (
                 " (cached)" if existing.cached else ""
             )
-        elif existing.status in (FAILED, CANCELLED):
+        elif existing.status == FAILED:
             plan, why = "requeue", f"was {existing.status}; fresh attempt budget"
         else:
             plan, why = "resume", (
@@ -205,154 +185,7 @@ def dry_run_plan(args: argparse.Namespace, runs: list[RunSpec]) -> int:
     return 0
 
 
-# -- service mode ------------------------------------------------------------
-
-
-def add_service_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default="runs/sweep", help="output directory")
-    parser.add_argument("--socket", default=None,
-                        help="service socket path (default: <out>/service.sock)")
-
-
-def make_client(args: argparse.Namespace) -> ServiceClient:
-    return ServiceClient(
-        args.socket or socket_path_for(args.out),
-        retry=RetryPolicy(attempts=5, base_s=0.2, jitter_seed=0),
-    )
-
-
-def cmd_serve(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sweep.py serve", description="run the measurement daemon",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    add_service_args(parser)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--max-attempts", type=int, default=3)
-    parser.add_argument("--backoff-s", type=float, default=0.5)
-    parser.add_argument("--jitter-seed", type=int, default=None)
-    parser.add_argument("--timeout-s", type=float, default=300.0)
-    parser.add_argument("--stuck-after-s", type=float, default=30.0)
-    parser.add_argument("--checkpoint-every-s", type=float, default=0.1)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--cache-max-entries", type=int, default=None)
-    parser.add_argument("--cache-max-bytes", type=int, default=None)
-    parser.add_argument("--max-pending", type=int, default=None,
-                        help="admission backpressure: reject submits past "
-                             "this many queued runs")
-    parser.add_argument("--compact-threshold-bytes", type=int,
-                        default=8 * 1024 * 1024,
-                        help="compact the journal on boot past this size")
-    args = parser.parse_args(argv)
-
-    core = ServiceCore(
-        args.out,
-        max_attempts=args.max_attempts,
-        backoff_s=args.backoff_s,
-        wall_timeout_s=args.timeout_s,
-        checkpoint_every_s=args.checkpoint_every_s,
-        workers=args.workers,
-        stuck_after_s=args.stuck_after_s,
-        jitter_seed=args.jitter_seed,
-        cache_dir=args.cache_dir,
-        cache_max_entries=args.cache_max_entries,
-        cache_max_bytes=args.cache_max_bytes,
-        max_pending=args.max_pending,
-        compact_threshold_bytes=args.compact_threshold_bytes,
-    )
-    # The daemon always boots in resume mode: an existing journal is
-    # state to recover, never to bulldoze.
-    core.open(resume=True, requeue_failed=False)
-    service = MeasurementService(core, socket_path=args.socket)
-    try:
-        service.serve()
-    finally:
-        core.close()
-    return EXIT_DRAINED if core.drained and any(
-        r.status not in (DONE, FAILED, CANCELLED) for r in core.records.values()
-    ) else 0
-
-
-def cmd_submit(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sweep.py submit", description="submit sweep jobs to the daemon",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    add_service_args(parser)
-    parser.add_argument("--preset", choices=sorted(PRESETS), default="quick")
-    parser.add_argument("--machine", default="raptor-lake-i7-13700")
-    parser.add_argument("--n", type=int, nargs="*", help="HPL problem sizes")
-    parser.add_argument("--variants", nargs="*", help="HPL variants")
-    parser.add_argument("--nb", type=int, default=128)
-    parser.add_argument("--slice-s", type=float, default=0.05)
-    parser.add_argument("--chaos-seed", type=int, default=None)
-    parser.add_argument("--flaky", action="store_true")
-    parser.add_argument("--wait", action="store_true",
-                        help="poll until every submitted run settles")
-    args = parser.parse_args(argv)
-
-    client = make_client(args)
-    results = client.submit(build_runs(args))
-    for verdict in results:
-        line = f"{verdict['run_id']:28s} {verdict['disposition']:10s} {verdict['status']}"
-        if verdict.get("reason"):
-            line += f"  ({verdict['reason']})"
-        print(line)
-    rejected = [v for v in results if v["disposition"] == "rejected"]
-    if rejected:
-        print(f"[sweep] {len(rejected)} spec(s) rejected; resubmit later")
-    if args.wait:
-        run_ids = [
-            v["run_id"] for v in results if v["disposition"] != "rejected"
-        ]
-        jobs = client.wait(run_ids)
-        failed = [j for j in jobs if j["status"] == FAILED]
-        for job in failed:
-            err = (job.get("error") or {})
-            print(f"[sweep] {job['run_id']} failed: "
-                  f"{err.get('type')}: {err.get('message')}")
-        return 1 if failed else (1 if rejected else 0)
-    return 1 if rejected else 0
-
-
-def cmd_watch(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sweep.py watch", description="follow one run's journal events",
-    )
-    add_service_args(parser)
-    parser.add_argument("run_id")
-    args = parser.parse_args(argv)
-    client = make_client(args)
-    for event in client.stream(args.run_id):
-        print(json.dumps(event, sort_keys=True))
-    return 0
-
-
-def cmd_status(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sweep.py status", description="print daemon status",
-    )
-    add_service_args(parser)
-    args = parser.parse_args(argv)
-    print(json.dumps(make_client(args).status(), indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_shutdown(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sweep.py shutdown", description="drain the daemon and exit it",
-    )
-    add_service_args(parser)
-    args = parser.parse_args(argv)
-    make_client(args).shutdown()
-    print("[sweep] shutdown requested (daemon drains in-flight runs first)")
-    return 0
-
-
-# -- one-shot mode ------------------------------------------------------------
-
-
-def run_one_shot(argv) -> int:
+def run_sweep(argv) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
@@ -440,7 +273,9 @@ def run_one_shot(argv) -> int:
     print(f"\nmanifest: {manifest.path}")
     print(f"journal:  {supervisor.journal_path}")
     print_metrics(supervisor)
-    if failed:
+    for verdict in supervisor.rejected:
+        print(f"[sweep] {verdict.run_id} rejected: {verdict.reason}")
+    if failed or supervisor.rejected:
         return 1
     if supervisor.drained and pending:
         print(f"[sweep] drained with {pending} run(s) pending; "
@@ -450,27 +285,14 @@ def run_one_shot(argv) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv and argv[0] in SUBCOMMANDS:
-            handler = {
-                "serve": cmd_serve,
-                "submit": cmd_submit,
-                "watch": cmd_watch,
-                "status": cmd_status,
-                "shutdown": cmd_shutdown,
-            }[argv[0]]
-            return handler(argv[1:])
-        return run_one_shot(argv)
+        return run_sweep(argv)
     except JournalError as exc:
         # A journal this code refuses to trust: nothing was modified.
         # Distinct exit code, no traceback — the operator decides
-        # whether to restore journal.jsonl / its .bak or start fresh.
+        # whether to restore journal.jsonl or start fresh.
         print(f"[sweep] journal error: {exc}", file=sys.stderr)
         return EXIT_JOURNAL
-    except ServiceError as exc:
-        print(f"[sweep] service error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":
