@@ -215,7 +215,6 @@ def all_rules(only: Optional[Iterable[str]] = None) -> list[Rule]:
     from repro.analysis import protocol  # noqa: F401
     from repro.analysis import rules_concurrency  # noqa: F401
     from repro.analysis import rules_determinism  # noqa: F401
-    from repro.analysis import rules_hotpath  # noqa: F401
     from repro.analysis import rules_papi  # noqa: F401
     from repro.analysis import rules_surface  # noqa: F401
     from repro.analysis import taint  # noqa: F401

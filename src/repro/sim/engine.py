@@ -41,7 +41,7 @@ Two interchangeable engines drive the loop (``Machine(engine=...)``):
 * ``"ticks"`` — the plain single-tick loop above; the reference oracle.
 
 Both produce bit-identical state (gated by the engine parity matrix in
-``tests/test_fastpath_parity.py``).
+``tests/test_engine_parity.py``).
 """
 
 from __future__ import annotations

@@ -38,6 +38,18 @@ def rule_ids(result):
     return sorted(f.rule for f in result.new_findings)
 
 
+def _doc_rule_ids(relpath: str) -> set[str]:
+    """Rule ids in the first column of a document's ``| Rule | …`` table."""
+    lines = (REPO_ROOT / relpath).read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| Rule |"))
+    ids = set()
+    for line in lines[start + 2:]:  # skip the header and |---| rows
+        if not line.startswith("|"):
+            break
+        ids.add(line.split("|")[1].strip().strip("`"))
+    return ids
+
+
 # -- determinism rules -------------------------------------------------------
 
 
@@ -717,7 +729,8 @@ class TestLiveRepo:
             assert surface["state"], f"{name} declares an empty state surface"
 
     def test_rule_registry_complete(self):
-        assert {r.id for r in all_rules()} >= {
+        registered = {r.id for r in all_rules()}
+        assert registered >= {
             "DET-WALLCLOCK",
             "DET-RANDOM",
             "DET-HASH-ITER",
@@ -727,6 +740,9 @@ class TestLiveRepo:
             "PAPI-FD-LEAK",
             "PAPI-PMU-MIX",
         }
+        # The documented rule tables list exactly the registered rules.
+        assert _doc_rule_ids("README.md") == registered
+        assert _doc_rule_ids("docs/ARCHITECTURE.md") == registered
 
 
 # -- regression: the lifecycle/fd leaks this linter caught -------------------

@@ -199,6 +199,23 @@ class TestTraceParity:
         assert " perf pmu_mismatch_begin " in text
         assert " perf pmu_mismatch_end " in text
 
+    def test_small_hpl_run(self):
+        """HPL's dynamic chunk claims mutate a shared pool every tick;
+        tracing must not move its simulated completion time."""
+        from repro.hpl import HplConfig, run_hpl
+
+        def build(system):
+            result = run_hpl(
+                system,
+                HplConfig(n=4608, nb=192),
+                variant="intel",
+                cpus=system.topology.primary_threads(),
+            )
+            return (system.machine.now_s, result.gflops)
+
+        text = _assert_parity(_run_matrix(build, dt_s=0.01))
+        assert " sched switch_in " in text
+
     def test_trace_off_matches_baseline_digest_after_restore_roundtrip(self):
         """A traced system pickles (tracer included) and still digests
         equal to an untraced clone — the digest-exclusion contract."""
