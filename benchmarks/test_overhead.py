@@ -40,7 +40,8 @@ def _reader(n_pmus: int):
     )
     es = papi.create_eventset()
     papi.attach(es, t)
-    papi.add_event(es, "adl_glc::INST_RETIRED:ANY")
+    # The two-PMU reader times the P-core/E-core mix on purpose.
+    papi.add_event(es, "adl_glc::INST_RETIRED:ANY")  # repro-lint: disable=PAPI-PMU-MIX
     if n_pmus == 2:
         papi.add_event(es, "adl_grt::INST_RETIRED:ANY")
     papi.start(es)

@@ -1,29 +1,14 @@
-"""Derived metrics from counter values, plus repro-lint: the static
-analyzer enforcing the stack's determinism and PAPI-contract invariants
-(``python -m repro.analysis``)."""
+"""repro-lint: the static analyzer enforcing the stack's determinism and
+PAPI-contract invariants (``python -m repro.analysis``)."""
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import Finding, Rule, Severity, all_rules
 from repro.analysis.driver import AnalysisResult, run_analysis
-from repro.analysis.metrics import (
-    HybridBreakdown,
-    breakdown_eventset,
-    gflops,
-    ipc,
-    miss_rate,
-)
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
     "Finding",
-    "HybridBreakdown",
     "Rule",
     "Severity",
     "all_rules",
-    "breakdown_eventset",
-    "gflops",
-    "ipc",
-    "miss_rate",
     "run_analysis",
 ]

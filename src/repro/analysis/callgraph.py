@@ -219,14 +219,6 @@ class CallGraph:
                 return list(candidates)
         return []
 
-    def calls_in(
-        self, info: FunctionInfo
-    ) -> Iterator[tuple[ast.Call, list[FunctionInfo]]]:
-        """Every call site in one function with its resolved callees."""
-        for node in walk_shallow(info.node):
-            if isinstance(node, ast.Call):
-                yield node, self.resolve_call(info.module, info, node)
-
 
 #: Single-entry memo for :func:`build_call_graph`.  Every program rule
 #: in one driver run receives the *same* module list, so they share one

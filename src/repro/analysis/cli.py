@@ -1,24 +1,20 @@
 """``python -m repro.analysis`` — the repro-lint command line.
 
-Exit codes: 0 clean (baseline allowed), 1 findings (or parse errors),
-2 usage errors.  ``--strict`` also fails on warnings; the default mode
-fails on errors only.
+Exit codes: 0 clean, 1 findings (or parse errors), 2 usage errors.
+``--strict`` also fails on warnings and unused suppressions; the
+default mode fails on errors only.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import RULE_REGISTRY, all_rules
 from repro.analysis.driver import DEFAULT_PATHS, run_analysis
-from repro.analysis.report import render_human, render_json, render_sarif
-
-DEFAULT_BASELINE = "lint-baseline.json"
+from repro.analysis.report import render_human, render_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,43 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="fail on warnings too, not only errors",
+        help="fail on warnings and unused suppressions too, not only errors",
     )
     parser.add_argument(
         "--json",
         action="store_true",
-        help="JSON report (alias for --format json)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("human", "json", "sarif"),
-        default=None,
-        dest="fmt",
-        help="report format (default: human)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "report only on files changed vs git HEAD (plus untracked); "
-            "whole-program rules still read the full program, so their "
-            "findings on touched files match a full run"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline file and exit 0",
+        help="machine-readable JSON report",
     )
     parser.add_argument(
         "--rule",
@@ -94,39 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def changed_files(root: Path) -> Optional[list[str]]:
-    """Root-relative ``.py`` files changed vs HEAD, plus untracked ones.
-
-    Covers staged and unstaged modifications (``git diff HEAD``) and
-    new files not yet tracked; deletions drop out naturally because the
-    driver only reports on files it can still discover on disk.
-    Returns None when git is unavailable (callers fall back to a full
-    run rather than silently reporting nothing).
-    """
-    out: set[str] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, cwd=root, capture_output=True, text=True, check=False
-            )
-        except OSError:
-            return None
-        if proc.returncode != 0:
-            return None
-        out.update(
-            line.strip() for line in proc.stdout.splitlines() if line.strip()
-        )
-    return sorted(p for p in out if p.endswith(".py"))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
+    # Loads the rule modules, which fills RULE_REGISTRY.
+    rules = all_rules()
     if args.list_rules:
-        for rule in all_rules():
+        for rule in rules:
             print(f"{rule.id:16s} [{rule.severity}] {rule.description}")
         return 0
 
@@ -134,66 +73,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not root.is_dir():
         print(f"error: root {args.root!r} is not a directory", file=sys.stderr)
         return 2
-    if args.rules:
-        unknown = set(args.rules) - set(RULE_REGISTRY)
-        # Unknown names are caught after rule modules load inside
-        # all_rules(); pre-check gives a cleaner usage error.
-        all_rules()
-        unknown = set(args.rules) - set(RULE_REGISTRY)
-        if unknown:
-            print(
-                f"error: unknown rule(s): {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-
-    baseline_path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    baseline = None
-    if not args.no_baseline and not args.write_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    report_paths: Optional[list[str]] = None
-    if args.changed_only:
-        report_paths = changed_files(root)
-        if report_paths is None:
-            print(
-                "warning: --changed-only needs git; running on everything",
-                file=sys.stderr,
-            )
-        elif not report_paths:
-            print("repro-lint: ok — no changed files")
-            return 0
-
-    result = run_analysis(
-        root,
-        paths=args.paths,
-        baseline=baseline,
-        only_rules=args.rules,
-        report_paths=report_paths,
-    )
-
-    if args.write_baseline:
-        Baseline.from_findings(
-            result.new_findings + result.baselined
-        ).save(baseline_path)
+    unknown = set(args.rules or ()) - set(RULE_REGISTRY)
+    if unknown:
         print(
-            f"wrote {baseline_path} with "
-            f"{len(result.new_findings) + len(result.baselined)} entr(ies)"
+            f"error: unknown rule(s): {', '.join(sorted(unknown))}",
+            file=sys.stderr,
         )
-        return 0
+        return 2
 
-    fmt = args.fmt or ("json" if args.json else "human")
-    if fmt == "json":
-        report = render_json(result, strict=args.strict)
-    elif fmt == "sarif":
-        report = render_sarif(result)
-    else:
-        report = render_human(result, strict=args.strict)
-    print(report)
+    result = run_analysis(root, paths=args.paths, only_rules=args.rules)
+    render = render_json if args.json else render_human
+    print(render(result, strict=args.strict))
     return 1 if result.failed(strict=args.strict) else 0
 
 

@@ -20,7 +20,6 @@ file plus its ``# repro-lint: disable=...`` suppressions).
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,20 +47,6 @@ class Finding:
     message: str
     symbol: str = ""          # enclosing function/class qualname, if any
 
-    @property
-    def fingerprint(self) -> str:
-        """Location-drift-tolerant identity used by the baseline file.
-
-        Deliberately excludes the line number *and the file path*: a
-        baselined finding survives unrelated edits above it and — since
-        the enclosing symbol and message already pin it down — survives
-        the file being renamed or moved.  The (accepted) cost is that
-        two byte-identical findings in different files share one
-        fingerprint, so baselining one accepts both.
-        """
-        raw = "|".join((self.rule, self.symbol, self.message))
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
-
     def render(self) -> str:
         where = f" [{self.symbol}]" if self.symbol else ""
         return (
@@ -70,7 +55,8 @@ class Finding:
         )
 
 
-#: ``# repro-lint: disable=RULE[,RULE...]`` or ``disable=all``.
+#: The suppression comment: ``disable=`` followed by a comma-separated
+#: list of rule ids, or by ``all``.
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_\-,\s]+|all)")
 
 
@@ -211,7 +197,6 @@ def register(cls: type[Rule]) -> type[Rule]:
 def all_rules(only: Optional[Iterable[str]] = None) -> list[Rule]:
     """Fresh instances of every registered rule (or a named subset)."""
     # Importing the rule modules populates the registry.
-    from repro.analysis import interproc  # noqa: F401
     from repro.analysis import protocol  # noqa: F401
     from repro.analysis import rules_concurrency  # noqa: F401
     from repro.analysis import rules_determinism  # noqa: F401

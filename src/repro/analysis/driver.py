@@ -1,4 +1,4 @@
-"""Analysis driver: walk files, run rules, fold in suppressions/baseline."""
+"""Analysis driver: walk files, run rules, fold in suppressions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import (
     Finding,
     ProgramRule,
@@ -24,9 +23,19 @@ DEFAULT_PATHS = ("src/repro", "examples", "tools", "benchmarks")
 SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 
-@dataclass
-class SuppressedFinding:
-    finding: Finding
+@dataclass(frozen=True)
+class UnusedSuppression:
+    """A ``disable=`` entry naming a rule that ran and found nothing there."""
+
+    path: str
+    line: int
+    rule: str
+
+    def render(self) -> str:
+        return (
+            f"{self.path}:{self.line}: unused suppression: {self.rule} "
+            "found nothing on this line"
+        )
 
 
 @dataclass
@@ -34,23 +43,21 @@ class AnalysisResult:
     """Everything one run produced, pre-classified."""
 
     new_findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline: list[dict] = field(default_factory=list)
+    unused_suppressions: list[UnusedSuppression] = field(default_factory=list)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
     rules_run: list[str] = field(default_factory=list)
 
     def failed(self, strict: bool = False) -> bool:
         if strict:
-            return bool(self.new_findings or self.parse_errors)
+            return bool(
+                self.new_findings or self.unused_suppressions or self.parse_errors
+            )
         return bool(
             [f for f in self.new_findings if f.severity is Severity.ERROR]
             or self.parse_errors
         )
-
-    def all_findings(self) -> list[Finding]:
-        return self.new_findings + self.baselined
 
 
 def discover_files(root: Path, paths: Sequence[str]) -> list[str]:
@@ -72,52 +79,39 @@ def run_analysis(
     root: Path,
     paths: Sequence[str] = DEFAULT_PATHS,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
     only_rules: Optional[Sequence[str]] = None,
-    report_paths: Optional[Sequence[str]] = None,
 ) -> AnalysisResult:
     """Analyze every file under ``paths`` (relative to ``root``).
 
-    ``report_paths`` restricts which files findings are *reported* for
-    (the ``--changed-only`` fast path): per-module rules run only on
-    those files, while whole-program rules still parse and see the
-    entire program (their tables are global), with findings filtered to
-    the reported set afterwards.  Stale-baseline accounting is skipped
-    in filtered runs — only a full run sees every finding a baseline
-    entry could match.
+    A suppression comment that names a rule which ran but found nothing
+    on its line is reported in ``unused_suppressions``; rules left out
+    of the run (``only_rules``) cannot make a suppression unused.
     """
     active = list(rules) if rules is not None else all_rules(only_rules)
     result = AnalysisResult(rules_run=[r.id for r in active])
-    baseline = baseline or Baseline()
 
     per_module = [r for r in active if not isinstance(r, ProgramRule)]
     program = [r for r in active if isinstance(r, ProgramRule)]
-    report = {Path(p).as_posix() for p in report_paths} if report_paths is not None else None
 
     modules: dict[str, SourceModule] = {}
     for relpath in discover_files(root, paths):
         module = SourceModule.load(root, relpath)
         modules[relpath] = module
-        if module.parse_error is not None and (
-            report is None or relpath in report
-        ):
+        if module.parse_error is not None:
             result.parse_errors.append((relpath, str(module.parse_error)))
 
-    raw: list[Finding] = []
+    # (path, line) -> rule ids whose findings a suppression there absorbed
+    used: dict[tuple[str, int], set[str]] = {}
 
     def classify(module: Optional[SourceModule], finding: Finding) -> None:
-        raw.append(finding)
         if module is not None and module.is_suppressed(finding):
             result.suppressed.append(finding)
-        elif baseline.contains(finding):
-            result.baselined.append(finding)
+            used.setdefault((finding.path, finding.line), set()).add(finding.rule)
         else:
             result.new_findings.append(finding)
 
     for relpath, module in modules.items():
         if module.parse_error is not None:
-            continue
-        if report is not None and relpath not in report:
             continue
         applicable = [r for r in per_module if r.applies_to(relpath)]
         if not applicable and not program:
@@ -128,23 +122,20 @@ def run_analysis(
                 classify(module, finding)
 
     parsed = [m for m in modules.values() if m.parse_error is None]
-    if report is not None:
-        # A program rule can only report inside its scope; when none of
-        # the changed files are in it, the whole (comparatively costly)
-        # pass is skipped — this is what keeps --changed-only fast.
-        program = [
-            r for r in program if any(r.applies_to(p) for p in report)
-        ]
     if parsed:
         for rule in program:
             for finding in rule.check_program(parsed):
-                if not rule.applies_to(finding.path):
-                    continue
-                if report is not None and finding.path not in report:
-                    continue
-                classify(modules.get(finding.path), finding)
+                if rule.applies_to(finding.path):
+                    classify(modules.get(finding.path), finding)
 
-    if report is None:
-        result.stale_baseline = baseline.stale_entries(raw)
+    ran = set(result.rules_run)
+    for module in parsed:
+        for line, named in sorted(module.suppressions.items()):
+            hit = used.get((module.path, line), set())
+            for rule_id in sorted((named & ran) - hit):
+                result.unused_suppressions.append(
+                    UnusedSuppression(module.path, line, rule_id)
+                )
+
     result.new_findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return result

@@ -1,9 +1,10 @@
-"""Interprocedural extension of the PAPI lifecycle/fd typestate rules.
+"""Whole-program PAPI typestate: the engine behind ``PAPI-LIFECYCLE``
+and ``PAPI-FD-LEAK``.
 
-The base rules (``PAPI-LIFECYCLE``, ``PAPI-FD-LEAK``) give up at
+The per-function engine (:mod:`repro.analysis.typestate`) gives up at
 function boundaries: a handle returned by a helper, destroyed by a
-helper, or parked in ``self.<field>`` leaves the per-function analysis.
-This pass closes those holes with *summaries* over the call graph:
+helper, or parked in ``self.<field>`` leaves it.  This module closes
+those holes with *summaries* over the call graph:
 
 * **creator summary** — a top-level function that returns a fresh
   handle (``def make_es(p): return p.create_eventset()``) becomes a
@@ -15,10 +16,11 @@ This pass closes those holes with *summaries* over the call graph:
   never closed leaves the argument's state untouched (instead of
   conservatively un-tracking it as an escape).
 
-Summaries are computed to a fixpoint so wrappers-of-wrappers resolve,
-then every function is re-analyzed under the extended protocol; only
-violations the base rules did *not* already report are emitted, as
-``PAPI-INTERPROC``.
+Summaries are computed to a fixpoint so wrappers-of-wrappers resolve
+(:func:`derive_extension`); :func:`analyze_program` then runs every
+function once under the extended protocol.  No separate plain pass
+runs: a handle handed to a helper escapes under the plain protocol, so
+the extended protocol tracks every handle the plain one does.
 
 A separate field check covers handles that escape into object state:
 ``self.f = <creator>()`` anywhere in a class requires *some* method of
@@ -32,26 +34,17 @@ import ast
 from dataclasses import replace
 from typing import Iterator, Optional
 
-from repro.analysis.callgraph import (
-    CallGraph,
-    FunctionInfo,
-    build_call_graph,
-    walk_shallow,
-)
-from repro.analysis.core import (
-    Finding,
-    ProgramRule,
-    Severity,
-    SourceModule,
-    register,
-)
-from repro.analysis.rules_papi import EVENTSET_PROTOCOL, FD_PROTOCOL
+from repro.analysis.callgraph import CallGraph, build_call_graph, walk_shallow
+from repro.analysis.core import SourceModule, enclosing_symbols
 from repro.analysis.typestate import (
     Protocol,
+    Violation,
     _creation_state,
     _find_creations,
     _mark_escapes,
+    _Tracked,
     analyze_function,
+    functions_of,
 )
 
 
@@ -177,8 +170,6 @@ def _first_param_is_neutral(
                 and node.func.value.id == param
             ):
                 return False
-    from repro.analysis.typestate import _Tracked
-
     tracked = {param: _Tracked(creation=func)}
     _mark_escapes(func, tracked, protocol)
     return not tracked[param].escaped
@@ -292,91 +283,58 @@ def _closes_attr(
     return False
 
 
-@register
-class InterprocPapiRule(ProgramRule):
-    id = "PAPI-INTERPROC"
-    severity = Severity.ERROR
-    description = (
-        "PAPI handle lifecycle tracked across function boundaries: "
-        "helper-created handles must still be destroyed, helper-closed "
-        "arguments transition, and self.<field> handles need a closing "
-        "method somewhere in the class"
-    )
+def analyze_program(
+    modules: list[SourceModule], protocol: Protocol
+) -> Iterator[tuple[str, str, Violation]]:
+    """Every violation of ``protocol`` in the program, as ``(path,
+    enclosing qualname, violation)``."""
+    graph = build_call_graph(modules)
+    ext = derive_extension(graph, protocol)
+    for module in graph.modules:
+        assert module.tree is not None
+        symbols = enclosing_symbols(module.tree)
+        for func in functions_of(module.tree):
+            for violation in analyze_function(func, ext):
+                yield module.path, symbols.get(id(violation.node), func.name), violation
+    yield from _field_leaks(graph, protocol)
 
-    protocols = (EVENTSET_PROTOCOL, FD_PROTOCOL)
 
-    def check_program(self, modules: list[SourceModule]) -> Iterator[Finding]:
-        graph = build_call_graph(modules)
-        for protocol in self.protocols:
-            ext = derive_extension(graph, protocol)
-            yield from self._field_leaks(graph, protocol)
-            if ext is protocol:
-                continue  # nothing derived: base rules already cover it
-            yield from self._extended_violations(graph, protocol, ext)
-
-    def _extended_violations(
-        self, graph: CallGraph, base: Protocol, ext: Protocol
-    ) -> Iterator[Finding]:
-        # A violation needs a handle *created* in the function, so only
-        # functions whose call-name bag can reach a creator matter.
-        creatorish = set(base.creators) | set(ext.func_creators)
-        for info in graph.functions.values():
-            if not (graph.name_bag(info) & creatorish):
-                continue
-            extended = analyze_function(info.node, ext)
-            if not extended:
-                continue
-            known = {
-                (v.node.lineno, v.message)
-                for v in analyze_function(info.node, base)
-            }
-            for violation in extended:
-                if (violation.node.lineno, violation.message) in known:
-                    continue
-                yield self.finding_at(
-                    info.path,
-                    violation.node,
-                    violation.message,
-                    symbol=info.qualname,
+def _field_leaks(
+    graph: CallGraph, protocol: Protocol
+) -> Iterator[tuple[str, str, Violation]]:
+    closers = closing_methods(protocol)
+    # class (path, name) -> [(attr, assign node, method qualname)]
+    stored: dict[tuple[str, str], list[tuple[str, ast.AST, str]]] = {}
+    for info in graph.functions.values():
+        if info.cls is None:
+            continue
+        for node in walk_shallow(info.node):
+            target: Optional[ast.expr] = None
+            value: Optional[ast.expr] = None
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                target, value = node.target, node.value
+            if (
+                target is not None
+                and value is not None
+                and isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and _creation_state(value, protocol) is not None
+            ):
+                stored.setdefault((info.path, info.cls), []).append(
+                    (target.attr, node, info.qualname)
                 )
-
-    def _field_leaks(self, graph: CallGraph, protocol: Protocol) -> Iterator[Finding]:
-        closers = closing_methods(protocol)
-        # class (path, name) -> [(attr, assign node, method qualname)]
-        stored: dict[tuple[str, str], list[tuple[str, ast.AST, str]]] = {}
-        for info in graph.functions.values():
-            if info.cls is None:
+    for (path, cls), entries in stored.items():
+        methods = graph.methods_of_class(path, cls)
+        for attr, node, qualname in entries:
+            if any(_closes_attr(m.node, attr, protocol, closers) for m in methods):
                 continue
-            for node in walk_shallow(info.node):
-                target: Optional[ast.expr] = None
-                value: Optional[ast.expr] = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    target, value = node.target, node.value
-                if (
-                    target is not None
-                    and value is not None
-                    and isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and _creation_state(value, protocol) is not None
-                ):
-                    stored.setdefault((info.path, info.cls), []).append(
-                        (target.attr, node, info.qualname)
-                    )
-        for (path, cls), entries in stored.items():
-            methods = graph.methods_of_class(path, cls)
-            for attr, node, qualname in entries:
-                if any(
-                    _closes_attr(m.node, attr, protocol, closers) for m in methods
-                ):
-                    continue
-                yield self.finding_at(
-                    path,
-                    node,
-                    f"{protocol.name} handle stored in self.{attr} but no "
-                    f"method of class {cls} ever closes it; the instance "
-                    "leaks its kernel resources",
-                    symbol=qualname,
-                )
+            yield path, qualname, Violation(
+                node,
+                f"{protocol.name} handle stored in self.{attr} but no "
+                f"method of class {cls} ever closes it; the instance "
+                "leaks its kernel resources",
+                "leak",
+            )

@@ -1,10 +1,10 @@
-"""Human, JSON, and SARIF reporters for analysis results."""
+"""Human and JSON reporters for analysis results."""
 
 from __future__ import annotations
 
 import json
 
-from repro.analysis.core import Finding, Severity, all_rules
+from repro.analysis.core import Finding
 from repro.analysis.driver import AnalysisResult
 
 
@@ -18,21 +18,14 @@ def render_human(result: AnalysisResult, strict: bool = False) -> str:
             lines.append(finding.render())
     for path, err in result.parse_errors:
         lines.append(f"{path}: PARSE-ERROR error: {err}")
-    if result.stale_baseline:
-        lines.append("")
-        lines.append("stale baseline entries (finding no longer present):")
-        for entry in result.stale_baseline:
-            lines.append(
-                f"  {entry['path']}: {entry['rule']} "
-                f"[{entry.get('symbol', '')}] {entry['message']}"
-            )
+    for unused in result.unused_suppressions:
+        lines.append(unused.render())
     lines.append("")
     verdict = "FAILED" if result.failed(strict) else "ok"
     lines.append(
         f"repro-lint: {verdict} — {result.files_checked} files, "
         f"{len(result.rules_run)} rules, "
         f"{len(result.new_findings)} finding(s), "
-        f"{len(result.baselined)} baselined, "
         f"{len(result.suppressed)} suppressed"
     )
     return "\n".join(lines)
@@ -47,125 +40,23 @@ def _finding_dict(finding: Finding) -> dict:
         "col": finding.col,
         "message": finding.message,
         "symbol": finding.symbol,
-        "fingerprint": finding.fingerprint,
     }
 
 
 def render_json(result: AnalysisResult, strict: bool = False) -> str:
     payload = {
-        "version": 1,
+        "version": 2,
         "failed": result.failed(strict),
         "files_checked": result.files_checked,
         "rules_run": result.rules_run,
         "findings": [_finding_dict(f) for f in result.new_findings],
-        "baselined": [_finding_dict(f) for f in result.baselined],
         "suppressed": [_finding_dict(f) for f in result.suppressed],
-        "stale_baseline": result.stale_baseline,
+        "unused_suppressions": [
+            {"path": u.path, "line": u.line, "rule": u.rule}
+            for u in result.unused_suppressions
+        ],
         "parse_errors": [
             {"path": p, "error": e} for p, e in result.parse_errors
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def _sarif_result(finding: Finding) -> dict:
-    return {
-        "ruleId": finding.rule,
-        "level": "error" if finding.severity is Severity.ERROR else "warning",
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": finding.path,
-                        "uriBaseId": "SRCROOT",
-                    },
-                    "region": {
-                        "startLine": finding.line,
-                        "startColumn": finding.col + 1,
-                    },
-                },
-                "logicalLocations": (
-                    [{"fullyQualifiedName": finding.symbol}]
-                    if finding.symbol
-                    else []
-                ),
-            }
-        ],
-        # The baseline fingerprint doubles as the SARIF stable id, so
-        # code-scanning UIs track a finding across moves and renames
-        # exactly like the baseline file does.
-        "partialFingerprints": {"reproLint/v1": finding.fingerprint},
-    }
-
-
-def render_sarif(result: AnalysisResult) -> str:
-    """SARIF 2.1.0 for CI code-scanning upload.
-
-    Only *new* findings become results (baselined and suppressed ones
-    are accepted debt, not alerts); parse errors are reported under the
-    synthetic rule id ``PARSE-ERROR`` so they surface too.
-    """
-    ran = set(result.rules_run)
-    rules = [
-        {
-            "id": rule.id,
-            "shortDescription": {"text": rule.description},
-            "defaultConfiguration": {
-                "level": (
-                    "error" if rule.severity is Severity.ERROR else "warning"
-                )
-            },
-        }
-        for rule in all_rules()
-        if rule.id in ran
-    ]
-    rules.append(
-        {
-            "id": "PARSE-ERROR",
-            "shortDescription": {"text": "file failed to parse"},
-            "defaultConfiguration": {"level": "error"},
-        }
-    )
-    results = [_sarif_result(f) for f in result.new_findings]
-    for path, err in result.parse_errors:
-        results.append(
-            {
-                "ruleId": "PARSE-ERROR",
-                "level": "error",
-                "message": {"text": err},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": path,
-                                "uriBaseId": "SRCROOT",
-                            },
-                            "region": {"startLine": 1, "startColumn": 1},
-                        },
-                        "logicalLocations": [],
-                    }
-                ],
-                "partialFingerprints": {"reproLint/v1": f"parse:{path}"},
-            }
-        )
-    payload = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": results,
-            }
         ],
     }
     return json.dumps(payload, indent=2)

@@ -9,14 +9,16 @@ statically:
 * ``PAPI-LIFECYCLE`` — typestate over the eventset handle: ``create ->
   add -> start -> stop -> cleanup/destroy``; flags read-before-start,
   double-start, stop-without-running, use-after-destroy, and handles
-  that fall off the end of a function undestroyed;
+  that fall off the end of a function undestroyed.  It runs over the
+  whole program, so handles are followed through creator and closer
+  helpers and into ``self.<field>`` (:mod:`repro.analysis.interproc`);
 * ``PAPI-FD-LEAK`` — the same engine over ``perf_event_open`` fds;
 * ``PAPI-PMU-MIX`` — eventsets whose *literal* event names resolve to
   different core-PMU types (``adl_glc`` vs ``adl_grt``, ``arm_a72`` vs
   ``arm_a53``).  Mixing is exactly what hybrid mode supports, but each
   event still counts zero whenever the thread runs on the other core
-  type, so every mix must be a conscious decision — suppress or
-  baseline the deliberate ones.
+  type, so every mix must be a conscious decision — suppress the
+  deliberate ones inline.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ from typing import Iterator
 from repro.analysis.core import (
     Finding,
     LiteralEnv,
+    ProgramRule,
     Rule,
     Severity,
     SourceModule,
     enclosing_symbols,
     register,
 )
-from repro.analysis.typestate import Protocol, analyze_function, functions_of
+from repro.analysis.interproc import analyze_program
+from repro.analysis.typestate import Protocol
 
 # -- the eventset protocol ---------------------------------------------------
 
@@ -114,28 +118,22 @@ FD_PROTOCOL = Protocol(
 
 
 @register
-class EventSetLifecycleRule(Rule):
+class EventSetLifecycleRule(ProgramRule):
     id = "PAPI-LIFECYCLE"
     severity = Severity.ERROR
     description = (
         "eventset handles must follow create -> add -> start -> stop -> "
-        "destroy; misordered calls fail (or lie) at runtime"
+        "destroy, followed through helpers and self.<field>; misordered "
+        "calls fail (or lie) at runtime"
     )
 
     protocol = EVENTSET_PROTOCOL
 
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        symbols = enclosing_symbols(module.tree)
-        for func in functions_of(module.tree):
-            for violation in analyze_function(func, self.protocol):
-                yield self.finding(
-                    module,
-                    violation.node,
-                    violation.message,
-                    symbol=symbols.get(id(violation.node), func.name),
-                )
+    def check_program(self, modules: list[SourceModule]) -> Iterator[Finding]:
+        for path, symbol, violation in analyze_program(modules, self.protocol):
+            yield self.finding_at(
+                path, violation.node, violation.message, symbol=symbol
+            )
 
 
 @register
@@ -143,7 +141,8 @@ class PerfFdLeakRule(EventSetLifecycleRule):
     id = "PAPI-FD-LEAK"
     severity = Severity.ERROR
     description = (
-        "fds from perf_event_open must reach close() on every normal path"
+        "fds from perf_event_open must reach close() on every normal path, "
+        "followed through helpers and self.<field>"
     )
 
     protocol = FD_PROTOCOL
@@ -179,7 +178,7 @@ class PmuMixRule(Rule):
     description = (
         "an eventset mixing events of several core-PMU types counts zero "
         "on whichever core type each event does not match; make sure that "
-        "is intended (derived sums) and suppress/baseline the site"
+        "is intended (derived sums) and suppress the site"
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:

@@ -27,7 +27,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.analysis.cfg import CFG, build_cfg
+from repro.analysis.callgraph import walk_shallow
+from repro.analysis.cfg import build_cfg
 
 
 @dataclass(frozen=True)
@@ -80,29 +81,6 @@ class _Tracked:
 # -- AST scanning helpers ----------------------------------------------------
 
 
-def _walk_shallow(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk an AST without descending into nested function bodies."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            stack.append(child)
-
-
-def _call_name(node: ast.expr) -> Optional[str]:
-    """Bare callee name of ``f(...)`` or ``mod.f(...)`` (last component)."""
-    if not isinstance(node, ast.Call):
-        return None
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
 def _creation_state(node: ast.expr, protocol: Protocol) -> Optional[str]:
     """Initial state when ``node`` is a creator call, else ``None``.
 
@@ -128,7 +106,7 @@ def _find_creations(
 ) -> dict[str, _Tracked]:
     """Locals bound directly to a creator call, e.g. ``es = p.create_eventset()``."""
     tracked: dict[str, _Tracked] = {}
-    for node in _walk_shallow(func):
+    for node in walk_shallow(func):
         target: Optional[ast.expr] = None
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -160,7 +138,7 @@ def _mark_escapes(
             for n in ast.walk(node)
         )
 
-    for node in _walk_shallow(func):
+    for node in walk_shallow(func):
         # Closure capture: a nested function/lambda reading the name.
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -281,7 +259,7 @@ def analyze_function(
 
     def _transfer_part(env: Env, stmt: ast.AST, emit: bool) -> Env:
         env = dict(env)
-        for node in _walk_shallow(stmt):
+        for node in walk_shallow(stmt):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 method = node.func.attr
                 if not (

@@ -194,9 +194,5 @@ class RaplPackage:
     # -- introspection used by the monitor/sampler -------------------------
 
     @property
-    def avg_power_pl1_window_w(self) -> float:
-        return self._avg1_w
-
-    @property
     def scale(self) -> float:
         return self._scale

@@ -53,11 +53,6 @@ class Component(abc.ABC):
     def _context_key(self, es: EventSet) -> Optional[int]:
         return es.attached.tid if es.attached is not None else None
 
-    @property
-    def active_eventset(self) -> Optional[EventSet]:
-        """Any currently running EventSet (for introspection)."""
-        return next(iter(self._active.values()), None)
-
     def _require_inactive_slot(self, es: EventSet) -> None:
         key = self._context_key(es)
         current = self._active.get(key)

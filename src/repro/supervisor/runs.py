@@ -119,8 +119,7 @@ def hpl_run(params: dict, ctx: RunContext) -> dict:
 
     Params: ``machine`` (preset name), ``n``, ``nb``, ``variant``,
     optional ``dt_s``, ``seed``, ``slice_s``, ``max_sim_s``, and the
-    fault-injection knobs of :func:`_maybe_crash` (used by the
-    ``flaky-hpl`` kind).
+    fault-injection knobs of :func:`_maybe_crash`.
     """
     slice_s = float(params.get("slice_s", 0.05))
     max_sim_s = float(params.get("max_sim_s", 36_000.0))
@@ -220,16 +219,6 @@ def _maybe_stall(
             time.sleep(0.02)
 
 
-def flaky_hpl_run(params: dict, ctx: RunContext) -> dict:
-    """An HPL run that SIGKILLs itself mid-run on its first attempt.
-
-    Exists so tests and CI can exercise crash-isolation and resume
-    deterministically; identical to ``hpl`` except the params are
-    expected to carry ``crash_at_s``.
-    """
-    return hpl_run(params, ctx)
-
-
 def failing_run(params: dict, ctx: RunContext) -> dict:
     """A run that always raises — exercises permanent-failure handling."""
     raise ValueError(params.get("message", "this run always fails"))
@@ -257,7 +246,6 @@ def spawner_run(params: dict, ctx: RunContext) -> dict:
 
 RUN_KINDS: dict[str, Callable[[dict, RunContext], dict]] = {
     "hpl": hpl_run,
-    "flaky-hpl": flaky_hpl_run,
     "failing": failing_run,
     "spawner": spawner_run,
 }

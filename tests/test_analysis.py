@@ -1,8 +1,8 @@
 """Tests for repro.analysis — the repro-lint static analyzer.
 
-Each rule gets a good/bad fixture pair, plus suppression handling,
-baseline round-trips, reporters, CLI exit codes, and the meta-test that
-the live repository is lint-clean modulo its checked-in baseline.
+Each rule gets a good/bad fixture pair, plus suppression handling
+(including unused suppressions), reporters, CLI exit codes, and the
+meta-test that the live repository is lint-clean.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, Severity, run_analysis
+from repro.analysis import Severity, run_analysis
 from repro.analysis.core import all_rules
 from repro.analysis.report import render_human, render_json
 
@@ -24,14 +24,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
 
 
-def lint(tmp_path: Path, relpath: str, source: str, only=None, baseline=None):
+def lint(tmp_path: Path, relpath: str, source: str, only=None):
     """Write one fixture file into a scratch repo and analyze it."""
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
-    return run_analysis(
-        tmp_path, paths=[relpath], only_rules=only, baseline=baseline
-    )
+    return run_analysis(tmp_path, paths=[relpath], only_rules=only)
 
 
 def rule_ids(result):
@@ -554,71 +552,24 @@ class TestSuppressions:
         assert rule_ids(result) == ["DET-WALLCLOCK"]
         assert result.suppressed == []
 
-
-# -- baseline ----------------------------------------------------------------
-
-
-BASELINE_BAD = """
-    import time
-
-    def elapsed():
-        return time.time()
-"""
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        result = lint(tmp_path, "src/repro/sim/x.py", BASELINE_BAD)
-        assert len(result.new_findings) == 1
-
-        path = tmp_path / "lint-baseline.json"
-        Baseline.from_findings(result.new_findings).save(path)
-        loaded = Baseline.load(path)
-        assert all(loaded.contains(f) for f in result.new_findings)
-
-        again = run_analysis(
-            tmp_path, paths=["src/repro/sim/x.py"], baseline=loaded
-        )
-        assert again.new_findings == []
-        assert [f.rule for f in again.baselined] == ["DET-WALLCLOCK"]
-        assert not again.failed(strict=True)
-
-    def test_fingerprint_survives_line_drift(self, tmp_path):
-        result = lint(tmp_path, "src/repro/sim/x.py", BASELINE_BAD)
-        baseline = Baseline.from_findings(result.new_findings)
-
-        # Same defect, shifted down by a comment block: still baselined.
-        drifted = lint(
-            tmp_path,
-            "src/repro/sim/x.py",
-            "# moved\n# down\n" + textwrap.dedent(BASELINE_BAD),
-            baseline=baseline,
-        )
-        assert drifted.new_findings == []
-        assert len(drifted.baselined) == 1
-
-    def test_stale_entries_reported(self, tmp_path):
-        result = lint(tmp_path, "src/repro/sim/x.py", BASELINE_BAD)
-        baseline = Baseline.from_findings(result.new_findings)
-
-        fixed = lint(
-            tmp_path,
-            "src/repro/sim/x.py",
-            """
+    def test_unused_suppression_reported_and_fails_strict(self, tmp_path):
+        source = """
             def elapsed(clock):
-                return clock.now_s
-            """,
-            baseline=baseline,
-        )
-        assert fixed.new_findings == []
-        assert len(fixed.stale_baseline) == 1
-        assert fixed.stale_baseline[0]["rule"] == "DET-WALLCLOCK"
+                return clock.now_s  # repro-lint: disable=DET-WALLCLOCK
+        """
+        result = lint(tmp_path, "src/repro/sim/x.py", source)
+        assert result.new_findings == []
+        assert [(u.line, u.rule) for u in result.unused_suppressions] == [
+            (3, "DET-WALLCLOCK")
+        ]
+        assert result.failed(strict=True)
+        assert not result.failed(strict=False)
+        assert "unused suppression: DET-WALLCLOCK" in render_human(result)
 
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"tool": "other", "version": 1}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
+        # A rule left out of the run cannot make its suppression unused.
+        partial = lint(tmp_path, "src/repro/sim/x.py", source, only=["DET-RANDOM"])
+        assert partial.unused_suppressions == []
+        assert not partial.failed(strict=True)
 
 
 # -- reporters ---------------------------------------------------------------
@@ -626,17 +577,16 @@ class TestBaseline:
 
 class TestReporters:
     def test_json_report_shape(self, tmp_path):
-        result = lint(tmp_path, "src/repro/sim/x.py", BASELINE_BAD)
+        result = lint(tmp_path, "src/repro/sim/x.py", TestWallClock.BAD)
         payload = json.loads(render_json(result, strict=True))
         assert payload["failed"] is True
         assert payload["files_checked"] == 1
         (finding,) = payload["findings"]
         assert finding["rule"] == "DET-WALLCLOCK"
         assert finding["path"] == "src/repro/sim/x.py"
-        assert finding["fingerprint"]
 
     def test_human_report_verdict(self, tmp_path):
-        bad = lint(tmp_path, "src/repro/sim/x.py", BASELINE_BAD)
+        bad = lint(tmp_path, "src/repro/sim/x.py", TestWallClock.BAD)
         text = render_human(bad, strict=True)
         assert "FAILED" in text and "DET-WALLCLOCK" in text
 
@@ -701,14 +651,15 @@ class TestCli:
 
 
 class TestLiveRepo:
-    def test_repo_clean_modulo_baseline(self):
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        result = run_analysis(REPO_ROOT, baseline=baseline)
+    def test_repo_clean(self):
+        result = run_analysis(REPO_ROOT)
         assert result.parse_errors == []
         assert result.new_findings == [], [
             f.render() for f in result.new_findings
         ]
-        assert result.stale_baseline == []
+        assert result.unused_suppressions == [], [
+            u.render() for u in result.unused_suppressions
+        ]
 
     def test_all_snapshot_surfaces_statically_declared(self):
         """Every @snapshot_surface class passes the static cross-check."""

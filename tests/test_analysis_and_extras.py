@@ -1,8 +1,7 @@
-"""Derived metrics, the papi_cost tool, and the Alder Lake preset."""
+"""The papi_cost tool and the Alder Lake preset."""
 
 import pytest
 
-from repro.analysis import breakdown_eventset, gflops, ipc, miss_rate
 from repro.papi import Papi
 from repro.sim.task import Program, SimThread
 from repro.sim.workload import ComputePhase, PhaseRates, constant_rates
@@ -10,50 +9,6 @@ from repro.system import System
 from repro.tools import papi_cost
 
 RATES = constant_rates(PhaseRates(ipc=2.0))
-
-
-class TestMetrics:
-    def test_ipc(self):
-        assert ipc(2e6, 1e6) == 2.0
-        assert ipc(1.0, 0.0) == 0.0
-
-    def test_miss_rate(self):
-        assert miss_rate(50, 100) == 0.5
-        assert miss_rate(0, 0) == 0.0
-        assert miss_rate(200, 100) == 1.0  # clamped
-        with pytest.raises(ValueError):
-            miss_rate(-1, 100)
-
-    def test_gflops(self):
-        assert gflops(2e9, 1.0) == 2.0
-        assert gflops(1e9, 0.0) == 0.0
-
-    def test_breakdown_splits_derived_preset(self):
-        system = System("raptor-lake-i7-13700", dt_s=1e-4, seed=6,
-                        migrate_jitter=0.1, rebalance_jitter=0.1)
-        papi = Papi(system)
-        t = system.machine.spawn(
-            SimThread("app", Program([ComputePhase(2e7, RATES)]))
-        )
-        es = papi.create_eventset()
-        papi.attach(es, t)
-        papi.add_event(es, "PAPI_TOT_INS")
-        papi.start(es)
-        system.machine.run_until_done([t], max_s=10)
-        bd = breakdown_eventset(papi, es)
-        assert bd.total("PAPI_TOT_INS") == pytest.approx(2e7, rel=1e-6)
-        shares = bd.entries["PAPI_TOT_INS"]
-        assert set(shares) == {"adl_glc", "adl_grt"}
-        assert bd.share("PAPI_TOT_INS", "adl_glc") + bd.share(
-            "PAPI_TOT_INS", "adl_grt"
-        ) == pytest.approx(1.0)
-
-    def test_breakdown_requires_perf_eventset(self, raptor):
-        papi = Papi(raptor, mode="legacy")
-        es = papi.create_eventset()
-        papi.add_event(es, "rapl::RAPL_ENERGY_PKG")
-        with pytest.raises(TypeError):
-            breakdown_eventset(papi, es)
 
 
 class TestPapiCostTool:

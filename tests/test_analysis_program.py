@@ -1,12 +1,12 @@
 """Tests for repro-lint's whole-program passes.
 
-Covers the interprocedural PAPI typestate (``PAPI-INTERPROC``), the
-journal protocol-exhaustiveness pass (``PROTO-JOURNAL``), the
-determinism taint pass (``DET-TAINT``), fork/signal safety
-(``FORK-SAFETY``/``SIGNAL-SAFETY``), the ``--changed-only`` reporting
-path, and the move/rename stability of baseline fingerprints.  Each
-rule gets a good/bad fixture pair; the seeding tests mutate a copy of
-the *real* supervisor sources to prove a fresh asymmetry is caught.
+Covers the interprocedural reach of the PAPI typestate
+(``PAPI-LIFECYCLE`` through helpers and ``self.<field>``), the journal
+protocol-exhaustiveness pass (``PROTO-JOURNAL``), the determinism taint
+pass (``DET-TAINT``) and fork/signal safety
+(``FORK-SAFETY``/``SIGNAL-SAFETY``).  Each rule gets a good/bad
+fixture pair; the seeding tests mutate a copy of the *real* supervisor
+sources to prove a fresh asymmetry is caught.
 """
 
 from __future__ import annotations
@@ -15,25 +15,18 @@ import shutil
 import textwrap
 from pathlib import Path
 
-from repro.analysis import Baseline, run_analysis
-from repro.analysis.cli import changed_files
+from repro.analysis import run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def lint_many(tmp_path, files, only=None, baseline=None, report_paths=None):
+def lint_many(tmp_path, files, only=None):
     """Write a multi-file fixture repo and analyze it."""
     for relpath, source in files.items():
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
-    return run_analysis(
-        tmp_path,
-        paths=sorted(files),
-        only_rules=only,
-        baseline=baseline,
-        report_paths=report_paths,
-    )
+    return run_analysis(tmp_path, paths=sorted(files), only_rules=only)
 
 
 def rule_ids(result):
@@ -59,9 +52,9 @@ class TestInterprocLifecycle:
                     papi.stop(es)
                 """
             },
-            only=["PAPI-INTERPROC"],
+            only=["PAPI-LIFECYCLE"],
         )
-        assert rule_ids(result) == ["PAPI-INTERPROC"]
+        assert rule_ids(result) == ["PAPI-LIFECYCLE"]
         assert result.new_findings[0].symbol.endswith("use")
 
     def test_helper_created_handle_destroyed_is_clean(self, tmp_path):
@@ -80,7 +73,7 @@ class TestInterprocLifecycle:
                     papi.destroy_eventset(es)
                 """
             },
-            only=["PAPI-INTERPROC"],
+            only=["PAPI-LIFECYCLE"],
         )
         assert result.new_findings == []
 
@@ -99,7 +92,7 @@ class TestInterprocLifecycle:
                     cleanup(es, papi)
                 """
             },
-            only=["PAPI-INTERPROC", "PAPI-LIFECYCLE"],
+            only=["PAPI-LIFECYCLE"],
         )
         assert result.new_findings == []
 
@@ -113,9 +106,9 @@ class TestInterprocLifecycle:
                         self._es = papi.create_eventset()
                 """
             },
-            only=["PAPI-INTERPROC"],
+            only=["PAPI-LIFECYCLE"],
         )
-        assert rule_ids(result) == ["PAPI-INTERPROC"]
+        assert rule_ids(result) == ["PAPI-LIFECYCLE"]
         assert "self._es" in result.new_findings[0].message
 
     def test_field_stored_handle_with_closing_method_is_clean(self, tmp_path):
@@ -132,7 +125,7 @@ class TestInterprocLifecycle:
                         self._papi.destroy_eventset(self._es)
                 """
             },
-            only=["PAPI-INTERPROC"],
+            only=["PAPI-LIFECYCLE"],
         )
         assert result.new_findings == []
 
@@ -492,105 +485,3 @@ class TestSignalSafety:
             only_rules=["SIGNAL-SAFETY"],
         )
         assert result.new_findings == []
-
-
-# -- changed-only reporting --------------------------------------------------
-
-
-class TestChangedOnly:
-    FILES = {
-        "src/repro/supervisor/a.py": """
-            import subprocess
-
-
-            def launch_a(cmd):
-                return subprocess.Popen(cmd)
-        """,
-        "src/repro/supervisor/b.py": """
-            import subprocess
-
-
-            def launch_b(cmd):
-                return subprocess.Popen(cmd)
-        """,
-    }
-
-    def test_filtered_findings_match_the_full_run(self, tmp_path):
-        full = lint_many(tmp_path, self.FILES, only=["FORK-SAFETY"])
-        assert len(full.new_findings) == 2
-        changed = run_analysis(
-            tmp_path,
-            paths=sorted(self.FILES),
-            only_rules=["FORK-SAFETY"],
-            report_paths=["src/repro/supervisor/a.py"],
-        )
-        expected = [
-            f
-            for f in full.new_findings
-            if f.path == "src/repro/supervisor/a.py"
-        ]
-        assert changed.new_findings == expected
-
-    def test_program_rule_findings_survive_filtering(self, tmp_path):
-        files = {
-            "src/repro/supervisor/journal.py": JOURNAL_MODULE,
-            "src/repro/supervisor/pool.py": """
-                def produce(journal):
-                    journal.append({"type": "add"})
-                    journal.append({"type": "bogus"})
-            """,
-        }
-        full = lint_many(tmp_path, files, only=["PROTO-JOURNAL"])
-        changed = run_analysis(
-            tmp_path,
-            paths=sorted(files),
-            only_rules=["PROTO-JOURNAL"],
-            report_paths=["src/repro/supervisor/pool.py"],
-        )
-        assert [f.message for f in changed.new_findings] == [
-            f.message
-            for f in full.new_findings
-            if f.path == "src/repro/supervisor/pool.py"
-        ]
-
-    def test_changed_files_runs_in_a_git_checkout(self):
-        files = changed_files(REPO_ROOT)
-        assert files is None or isinstance(files, list)
-
-
-# -- fingerprint stability across moves and renames --------------------------
-
-
-class TestFingerprintStability:
-    BAD = """
-        import subprocess
-
-
-        def launch(cmd):
-            return subprocess.Popen(cmd)
-    """
-
-    def test_rename_and_line_shift_keep_the_baseline_match(self, tmp_path):
-        first = lint_many(
-            tmp_path / "one",
-            {"src/repro/supervisor/a.py": self.BAD},
-            only=["FORK-SAFETY"],
-        )
-        assert len(first.new_findings) == 1
-        baseline = Baseline.from_findings(first.new_findings)
-
-        moved = "# moved module\n# with a new header\n\n" + textwrap.dedent(
-            self.BAD
-        )
-        second = lint_many(
-            tmp_path / "two",
-            {"src/repro/supervisor/renamed.py": moved},
-            only=["FORK-SAFETY"],
-            baseline=baseline,
-        )
-        assert second.new_findings == []
-        assert len(second.baselined) == 1
-        assert (
-            second.baselined[0].fingerprint
-            == first.new_findings[0].fingerprint
-        )

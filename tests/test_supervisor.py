@@ -258,7 +258,7 @@ class TestSupervisorSweeps:
                 RunSpec("steady", "hpl", dict(HPL_PARAMS)),
                 RunSpec(
                     "flaky",
-                    "flaky-hpl",
+                    "hpl",
                     dict(HPL_PARAMS, crash_at_s=0.08, crash_on_attempts=[1]),
                 ),
             ]
@@ -294,7 +294,7 @@ class TestSupervisorSweeps:
             [
                 RunSpec(
                     "always-crashes",
-                    "flaky-hpl",
+                    "hpl",
                     dict(HPL_PARAMS, crash_at_s=0.08, crash_on_attempts=[1, 2, 3]),
                 )
             ]
@@ -346,7 +346,7 @@ class TestSupervisorSweeps:
 
     def test_resume_requeues_failed_run_with_fresh_budget(self, tmp_path):
         spec = RunSpec(
-            "boom", "flaky-hpl",
+            "boom", "hpl",
             dict(HPL_PARAMS, crash_at_s=0.02, crash_on_attempts=[1, 2, 3]),
         )
         manifest = _supervisor(tmp_path, max_attempts=1).run([spec])

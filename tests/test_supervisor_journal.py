@@ -229,7 +229,7 @@ class TestResultCache:
         c = spec_digest("hpl", {"n": 1000, "nb": 64})
         assert a == b
         assert a != c
-        assert a != spec_digest("flaky-hpl", {"n": 1000, "nb": 128})
+        assert a != spec_digest("failing", {"n": 1000, "nb": 128})
 
     def test_put_get_roundtrip(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"), version="v1")

@@ -105,7 +105,7 @@ class TestBackoffSchedule:
             [
                 RunSpec(
                     "crashy",
-                    "flaky-hpl",
+                    "hpl",
                     dict(HPL_PARAMS, crash_at_s=0.08, crash_on_attempts=[1, 2]),
                 )
             ]

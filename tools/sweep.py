@@ -87,7 +87,7 @@ def build_runs(args: argparse.Namespace) -> list[RunSpec]:
         runs.append(
             RunSpec(
                 "flaky-selftest",
-                "flaky-hpl",
+                "hpl",
                 {
                     "machine": args.machine,
                     # The longest point of the sweep, so the run is still
