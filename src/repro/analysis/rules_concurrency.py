@@ -7,9 +7,10 @@ failure modes are classic and brutal to debug:
   with nobody to release it (instant deadlock in the child), and a
   ``fork()`` with an open socket shares the fd — two processes then
   read the same stream;
-* a worker ``Popen``\\ ed into the supervisor's session dies with it and
-  escapes group-kill/orphan-reap semantics — every managed spawn must
-  pass ``start_new_session=True`` (``FORK-SAFETY``);
+* a worker ``Popen``\\ ed or forked into the supervisor's session dies
+  with it and escapes group-kill/orphan-reap semantics — every managed
+  ``Popen`` must pass ``start_new_session=True``, and every function
+  that forks must call ``os.setsid()`` for the child (``FORK-SAFETY``);
 * a Python signal handler runs between two arbitrary bytecodes of the
   main loop: touching the journal (fsync!), logging, or allocating in a
   handler reenters whatever the interrupted frame was doing.  Handlers
@@ -61,6 +62,10 @@ SPAWN_CALLS = {
 #: group-kill / orphan-reaping semantics hold.
 SESSION_REQUIRED_SPAWNS = {"subprocess.Popen"}
 
+#: Spawns that duplicate this process: their child runs the caller's
+#: code, so the same function must make it a session leader.
+FORK_CALLS = {"os.fork", "os.forkpty"}
+
 _LOCKISH_CTORS = ("Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition")
 
 
@@ -86,8 +91,8 @@ class ForkSafetyRule(Rule):
     severity = Severity.ERROR
     description = (
         "no child process may be spawned while a lock is held or (for "
-        "fork) a socket is open, and managed Popen workers must lead "
-        "their own session (start_new_session=True)"
+        "fork) a socket is open, and managed workers must lead their own "
+        "session (Popen: start_new_session=True; fork: os.setsid())"
     )
     scope = SERVICE_SCOPE
 
@@ -182,7 +187,7 @@ class ForkSafetyRule(Rule):
             and resolve_dotted(node.func, origins) == "socket.socket"
         ]
         for call, dotted in spawns:
-            if dotted in ("os.fork", "os.forkpty") and any(
+            if dotted in FORK_CALLS and any(
                 line < call.lineno for line in socket_lines
             ):
                 yield self.finding(
@@ -194,8 +199,22 @@ class ForkSafetyRule(Rule):
                     symbol=symbols.get(id(call), ""),
                 )
 
-        # 4. Managed Popen must detach into its own session.
+        # 4. Managed workers must detach into their own session.
+        has_setsid = any(
+            isinstance(node, ast.Call)
+            and resolve_dotted(node.func, origins) == "os.setsid"
+            for node in walk_shallow(scope)
+        )
         for call, dotted in spawns:
+            if dotted in FORK_CALLS and not has_setsid:
+                yield self.finding(
+                    module,
+                    call,
+                    f"{dotted}() without os.setsid() in the same function: "
+                    "the child stays in the supervisor's session/group, so "
+                    "group-kill and orphan-reaping cannot manage it",
+                    symbol=symbols.get(id(call), ""),
+                )
             if dotted not in SESSION_REQUIRED_SPAWNS:
                 continue
             detached = any(

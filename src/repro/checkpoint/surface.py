@@ -21,7 +21,10 @@ stays visible in one place.
 Process-global counters that must survive a restore bit-identically
 (e.g. the kernel perf event-id allocator) register themselves via
 :func:`register_global_counter`; the snapshot envelope saves and
-restores them alongside the object graph.
+restores them alongside the object graph.  Registration also records
+each counter's value at that moment, so :func:`reset_global_counters`
+can hand a forked sweep worker the counters of a freshly imported
+process.
 """
 
 from __future__ import annotations
@@ -34,12 +37,22 @@ SNAPSHOT_SURFACES: dict[type, dict] = {}
 #: name -> (getter, setter) for process-global snapshot state.
 GLOBAL_COUNTERS: dict[str, tuple[Callable[[], int], Callable[[int], None]]] = {}
 
+#: name -> the counter's value when it was registered (at import).
+_INITIAL_VALUES: dict[str, int] = {}
+
 
 def register_global_counter(
     name: str, getter: Callable[[], int], setter: Callable[[int], None]
 ) -> None:
     """Expose a module-global counter to the snapshot envelope."""
     GLOBAL_COUNTERS[name] = (getter, setter)
+    _INITIAL_VALUES[name] = getter()
+
+
+def reset_global_counters() -> None:
+    """Rewind every registered counter to its value at registration:
+    the state a freshly imported process starts from."""
+    set_global_counter_state(_INITIAL_VALUES)
 
 
 def global_counter_state() -> dict[str, int]:

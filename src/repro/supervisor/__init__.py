@@ -5,9 +5,10 @@ drives a sweep, :mod:`repro.supervisor.queue` for durable admission,
 :mod:`repro.supervisor.pool` for the concurrent worker pool (liveness,
 migration, drain), :mod:`repro.supervisor.journal` for the crash-safe
 append-only journal, :mod:`repro.supervisor.cache` for the deterministic
-result cache, :mod:`repro.supervisor.worker` for the per-run subprocess
-entry, and :mod:`repro.supervisor.manifest` for run records and the
-materialized sweep view.
+result cache, :mod:`repro.supervisor.worker` for the worker process
+each attempt is forked into (and its by-hand ``--spec`` entry), and
+:mod:`repro.supervisor.manifest` for run records and the materialized
+sweep view.
 """
 
 from repro.supervisor.cache import ResultCache, code_version, spec_digest

@@ -16,7 +16,7 @@ result can be reused whenever both inputs match:
 A hit copies the cached result into the run directory without launching
 a worker; the journal records it as ``done`` with ``cached: true`` and
 the pool's launch counter stays untouched — which is how the acceptance
-test proves "zero subprocess launches" on resubmission.
+test proves "zero worker launches" on resubmission.
 """
 
 from __future__ import annotations

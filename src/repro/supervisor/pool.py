@@ -1,14 +1,16 @@
-"""The concurrent worker pool: N subprocess workers, liveness, migration.
+"""The concurrent worker pool: N forked workers, liveness, migration.
 
 This is the fleet engine under :class:`~repro.supervisor.supervisor.
 Supervisor`.  It admits pending runs into up to ``workers`` slots, each
-slot one ``python -m repro.supervisor.worker`` subprocess started in its
-**own session** (so a kill always takes the whole process group — no
-zombie children surviving a timeout).  The poll loop then watches every
-in-flight job three ways:
+slot one worker process forked from this (already-imported) process by
+:func:`repro.supervisor.worker.spawn` and leading its **own session**
+(so a kill always takes the whole process group — no zombie children
+surviving a timeout).  Because it forks, the pool must be driven from a
+single-threaded program.  The poll loop then watches every in-flight
+job three ways:
 
-* ``poll()`` — **dead** workers are reaped and classified by exit code
-  exactly as the single-worker supervisor did;
+* ``os.waitpid`` — **dead** workers are reaped and classified by exit
+  code (negative: killed by that signal);
 * heartbeats — a worker whose **simulated** time stops advancing for
   ``stuck_after_s`` of wall time is **stuck**: killed (whole group) and
   *migrated* — requeued on a different slot, resuming from its last
@@ -36,8 +38,6 @@ import json
 import os
 import random
 import signal
-import subprocess
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,13 +58,15 @@ from repro.supervisor.manifest import (
     RunRecord,
     atomic_write_json,
 )
+from repro.supervisor.worker import spawn
 from repro.trace.tracer import MetricsRegistry
 
 
 def default_worker_count() -> int:
     """``os.cpu_count()``-derived pool size: leave one CPU for the
-    supervisor, never exceed eight (worker startup is import-bound and
-    the fleet stops scaling long before that on sweep workloads)."""
+    supervisor, never exceed eight (every launch, reap and journal
+    fsync goes through the one supervisor loop, and the fleet stops
+    scaling long before that on sweep workloads)."""
     cpus = os.cpu_count() or 1
     return max(1, min(8, cpus - 1))
 
@@ -88,20 +90,13 @@ def backoff_delay(
     return delay * (1.0 + 0.25 * rng.random())
 
 
-def _src_path() -> str:
-    """Directory to put on the worker's PYTHONPATH (the ``src`` root)."""
-    import repro
-
-    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-
 @dataclass
 class _Job:
     """One in-flight worker attempt."""
 
     record: RunRecord
     slot: int
-    proc: subprocess.Popen
+    pid: int
     run_dir: str
     started: float
     resume_from: Optional[str]
@@ -221,16 +216,16 @@ class WorkerPool:
 
         for slot in sorted(self._jobs):
             job = self._jobs[slot]
-            code = job.proc.poll()
-            if code is not None:
+            pid, status = os.waitpid(job.pid, os.WNOHANG)
+            if pid:
                 del self._jobs[slot]
                 self._free_slots.append(slot)
-                self._finish(job, code, now)
+                self._finish(job, os.waitstatus_to_exitcode(status), now)
                 continue
             verdict = self._liveness(job, now)
             if verdict is not None:
                 self._kill_group(job, signal.SIGKILL)
-                job.proc.wait()
+                os.waitpid(job.pid, 0)
                 del self._jobs[slot]
                 self._free_slots.append(slot)
                 self._finish_killed(job, verdict, now)
@@ -261,11 +256,13 @@ class WorkerPool:
         record.checkpoint_path = resume_from
 
         # A stale heartbeat from the previous attempt must not feed the
-        # liveness monitor; drop it before the new worker starts.
-        try:
-            os.unlink(heartbeat_path(run_dir))
-        except OSError:
-            pass
+        # liveness monitor, and its error must not be read as this
+        # attempt's: drop both before the new worker starts.
+        for stale in (heartbeat_path(run_dir), os.path.join(run_dir, "error.json")):
+            try:
+                os.unlink(stale)
+            except OSError:
+                pass
 
         spec = {
             "run_id": record.run_id,
@@ -278,23 +275,7 @@ class WorkerPool:
         }
         spec_path = os.path.join(run_dir, "spec.json")
         atomic_write_json(spec_path, spec)
-
-        env = dict(os.environ)
-        src = _src_path()
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-
-        stderr_log = open(os.path.join(run_dir, "stderr.log"), "wb")
-        try:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.supervisor.worker", "--spec", spec_path],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=stderr_log,
-                start_new_session=True,
-            )
-        finally:
-            stderr_log.close()
+        pid = spawn(spec_path, os.path.join(run_dir, "stderr.log"))
 
         origin = f"resuming from {resume_from}" if resume_from else "fresh start"
         self.log(
@@ -308,15 +289,15 @@ class WorkerPool:
                 "attempt": record.attempts,
                 "slot": slot,
                 "resume_from": resume_from,
-                "pid": proc.pid,
+                "pid": pid,
             }
         )
         self.metrics.counter("fleet.launch")
-        record.last_pid = proc.pid
+        record.last_pid = pid
         return _Job(
             record=record,
             slot=slot,
-            proc=proc,
+            pid=pid,
             run_dir=run_dir,
             started=now,
             resume_from=resume_from,
@@ -330,8 +311,8 @@ class WorkerPool:
         hb = read_heartbeat(heartbeat_path(job.run_dir))
         if hb is not None and hb.get("attempt") == job.record.attempts:
             if not job.hb_seen:
-                # First heartbeat of the attempt: startup (interpreter,
-                # imports, model construction) is over — that is itself
+                # First heartbeat of the attempt: startup (fork, spec
+                # load, checkpoint restore) is over — that is itself
                 # progress, or a worker whose setup exceeds the stuck
                 # window would be killed before its first sim step.
                 job.hb_seen = True
@@ -360,10 +341,12 @@ class WorkerPool:
         """Signal the worker's whole process group (it leads its own
         session), so helpers it spawned die with it — no zombies."""
         try:
-            os.killpg(job.proc.pid, sig)
+            os.killpg(job.pid, sig)
         except (ProcessLookupError, PermissionError):
+            # Not yet its own group leader (killed between fork and
+            # setsid): signal the worker alone.
             try:
-                job.proc.send_signal(sig)
+                os.kill(job.pid, sig)
             except ProcessLookupError:
                 pass
 

@@ -8,9 +8,10 @@ spec digest, one fsync per batch — steps the
 :class:`~repro.supervisor.pool.WorkerPool` until idle, and seals the
 journal.  What it guarantees:
 
-* **worker crashes** — crash-isolated subprocess per run, checkpointed
-  retries with deterministic backoff (seedable jitter, injectable
-  clock/sleep);
+* **worker crashes** — crash-isolated worker process per attempt,
+  forked from this already-imported process (so a ``Supervisor`` must
+  be driven from a single-threaded program), checkpointed retries with
+  deterministic backoff (seedable jitter, injectable clock/sleep);
 * **wedged workers** — heartbeat liveness, process-group kills, slot
   migration;
 * **supervisor death** — every transition journaled before acted on;

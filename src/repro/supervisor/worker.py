@@ -1,11 +1,21 @@
-"""Subprocess worker: executes exactly one run, crash-isolated.
+"""Sweep worker: executes exactly one run, crash-isolated.
 
-The supervisor never runs simulations in its own process — each run
-executes here, launched as ``python -m repro.supervisor.worker --spec
-spec.json``, so a segfault, SIGKILL, or runaway loop takes down only
-this worker.  Communication is file-based (crash-safe): the worker
-reads a spec, writes ``result.json`` on success or ``error.json`` on
-failure, both atomically, and reports classification via exit code:
+The supervisor never runs simulations in its own process — each attempt
+executes in a worker process that :func:`spawn` forks from the
+supervisor, which has already imported ``repro`` (and numpy), so an
+attempt pays no interpreter start-up or imports.  The child leads its
+own session, has stdin/stdout on ``/dev/null`` and stderr on the run's
+``stderr.log``, rewinds the registered process-global counters to their
+import-time values, runs :func:`run_spec` and ends in ``os._exit`` on
+every path — it never returns into the supervisor's frames.  A
+segfault, SIGKILL, or runaway loop takes down only this worker.
+``python -m repro.supervisor.worker --spec spec.json`` runs the same
+spec in a fresh interpreter: for rerunning an attempt by hand, and as
+the reference the fork path is tested against.
+
+Communication is file-based (crash-safe): the worker reads a spec,
+writes ``result.json`` on success or ``error.json`` on failure, both
+atomically, and reports classification via exit code:
 
 * 0 — success, ``result.json`` written;
 * :data:`EXIT_PERMANENT` (3) — deterministic failure (bad params,
@@ -19,9 +29,9 @@ failure, both atomically, and reports classification via exit code:
   boundary and exited; not a failure, the supervisor requeues it
   without burning an attempt.
 
-Anything else — a signal, an OOM kill, an interpreter abort — yields no
-exit code from this table, and the supervisor classifies the bare crash
-as transient.
+Anything else — a signal, an OOM kill, an uncaught ``BaseException``
+(exit 1, traceback in ``stderr.log``) — yields no exit code from this
+table, and the supervisor classifies the bare crash as transient.
 
 Alongside the checkpoint cadence the worker writes ``heartbeat.json``
 (pid, attempt, current *simulated* time) every slice; the pool's
@@ -40,6 +50,7 @@ import sys
 import traceback
 
 from repro.checkpoint.snapshot import SnapshotError, load_object
+from repro.checkpoint.surface import reset_global_counters
 from repro.sim.engine import SimTimeout
 from repro.supervisor.heartbeat import heartbeat_path, write_heartbeat
 from repro.supervisor.manifest import (
@@ -50,8 +61,9 @@ from repro.supervisor.manifest import (
 )
 from repro.supervisor.runs import RUN_KINDS, Preempted, RunContext
 
-#: Set by the SIGTERM handler installed in :func:`main`; run kinds poll
-#: it via ``ctx.should_preempt()`` at every slice boundary.
+#: Set by the SIGTERM handler a worker installs (:func:`spawn`,
+#: :func:`main`); run kinds poll it via ``ctx.should_preempt()`` at
+#: every slice boundary.
 _PREEMPT_REQUESTED = False
 
 
@@ -147,6 +159,57 @@ def run_spec(spec: dict) -> int:
 
     atomic_write_json(result_path, result)
     return 0
+
+
+def spawn(spec_path: str, stderr_path: str) -> int:
+    """Fork a worker process that runs the spec at ``spec_path``;
+    returns its pid.
+
+    The caller reaps it with ``os.waitpid``.  The child starts like
+    ``python -m repro.supervisor.worker --spec`` would: its own session,
+    stdin/stdout on ``/dev/null``, stderr on ``stderr_path``, SIGTERM on
+    :func:`_on_sigterm`, SIGINT on Python's default, and the registered
+    global counters at their import-time values.  Forking needs a
+    single-threaded caller: a lock another thread holds at the fork
+    stays held in the child forever.
+    """
+    # Nothing the caller left buffered may be written again by the child.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    stderr_fd = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    # Neither signal may reach the child before its own handlers are in.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            # The child: every path ends in os._exit, so no caller frame
+            # (a `finally`, an atexit hook, a buffer flush) runs twice.
+            code = 1
+            try:
+                os.setsid()
+                devnull = os.open(os.devnull, os.O_RDWR)
+                os.dup2(devnull, 0)
+                os.dup2(devnull, 1)
+                os.dup2(stderr_fd, 2)
+                # Python-level stdio follows the new descriptors, whatever
+                # the caller had bound sys.stdout/sys.stderr to.
+                sys.stdout = open(1, "w", closefd=False)
+                sys.stderr = open(2, "w", buffering=1, closefd=False)
+                signal.signal(signal.SIGTERM, _on_sigterm)
+                signal.signal(signal.SIGINT, signal.default_int_handler)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                reset_global_counters()
+                with open(spec_path) as fh:
+                    spec = json.load(fh)
+                code = run_spec(spec)
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(stderr_fd)
+    return pid
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,7 @@
 """Shared fixtures: simulated systems of every machine preset.
 
 Also installs a SIGALRM-based per-test wall-clock timeout: a wedged test
-(a worker subprocess that never exits, a sim loop that stopped
+(a worker process that never exits, a sim loop that stopped
 progressing) aborts with a traceback instead of hanging CI.  The stdlib
 mechanism is used because ``pytest-timeout`` is not part of the baked
 test environment.  Override per test with ``@pytest.mark.timeout(N)``;
@@ -23,7 +23,7 @@ from repro.hw.machines import (
 from repro.system import System
 
 #: Generous default: the slowest tier-1 tests (multi-attempt supervisor
-#: sweeps with real worker subprocesses) finish well under a minute.
+#: sweeps with real forked workers) finish well under a minute.
 DEFAULT_TEST_TIMEOUT_S = 120
 
 

@@ -613,9 +613,13 @@ def run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
 
 
 class TestCli:
-    def test_strict_clean_on_live_repo(self):
-        proc = run_cli("--strict", "--root", str(REPO_ROOT), cwd=REPO_ROOT)
+    def test_strict_zero_on_clean_tree(self, tmp_path):
+        good = tmp_path / "src" / "repro" / "sim" / "x.py"
+        good.parent.mkdir(parents=True)
+        good.write_text("def f(clock):\n    return clock()\n")
+        proc = run_cli("--strict", "--root", str(tmp_path), cwd=REPO_ROOT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "repro-lint: ok" in proc.stdout
 
     def test_nonzero_on_bad_fixture(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "sim" / "x.py"
@@ -660,6 +664,8 @@ class TestLiveRepo:
         assert result.unused_suppressions == [], [
             u.render() for u in result.unused_suppressions
         ]
+        # The CLI's exit rule: `repro-lint --strict` on this tree exits 0.
+        assert not result.failed(strict=True)
 
     def test_all_snapshot_surfaces_statically_declared(self):
         """Every @snapshot_surface class passes the static cross-check."""

@@ -403,6 +403,46 @@ class TestForkSafety:
         )
         assert result.new_findings == []
 
+    def test_fork_without_setsid(self, tmp_path):
+        result = lint_many(
+            tmp_path,
+            {
+                "src/repro/supervisor/worker.py": """
+                import os
+
+
+                def spawn(run):
+                    pid = os.fork()
+                    if pid == 0:
+                        os._exit(run())
+                    return pid
+                """
+            },
+            only=["FORK-SAFETY"],
+        )
+        assert rule_ids(result) == ["FORK-SAFETY"]
+        assert "os.setsid()" in result.new_findings[0].message
+
+    def test_fork_with_setsid_is_clean(self, tmp_path):
+        result = lint_many(
+            tmp_path,
+            {
+                "src/repro/supervisor/worker.py": """
+                import os
+
+
+                def spawn(run):
+                    pid = os.fork()
+                    if pid == 0:
+                        os.setsid()
+                        os._exit(run())
+                    return pid
+                """
+            },
+            only=["FORK-SAFETY"],
+        )
+        assert result.new_findings == []
+
     def test_spawn_while_holding_a_lock(self, tmp_path):
         result = lint_many(
             tmp_path,

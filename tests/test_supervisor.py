@@ -2,7 +2,7 @@
 
 The acceptance bar: SIGKILLing a sweep (supervisor or worker, any
 moment) and resuming must produce results bit-identical to a sweep that
-was never interrupted.  Workers run as real subprocesses here — these
+was never interrupted.  Workers run as real forked processes here — these
 tests exercise the same code path ``tools/sweep.py`` drives.
 """
 

@@ -252,7 +252,7 @@ class TestResultCache:
 
     def test_cached_resubmission_launches_zero_workers(self, tmp_path):
         """The acceptance bar: an identical resubmitted sweep is served
-        entirely from cache — zero subprocess launches, byte-identical
+        entirely from cache — zero worker launches, byte-identical
         results."""
         cache_dir = str(tmp_path / "cache")
         specs = [

@@ -2,17 +2,24 @@
 
 Backoff tests drive the pool on an injected fake clock/sleep pair — no
 real ``time.sleep`` anywhere in the scheduling path.  Liveness tests use
-real subprocess workers wedged by the deterministic ``stall_at_s`` /
-``spawner`` fixtures in :mod:`repro.supervisor.runs`.
+real forked workers wedged by the deterministic ``stall_at_s`` /
+``spawner`` fixtures in :mod:`repro.supervisor.runs`.  Tests that must
+act mid-run (kill a worker, request a drain) do it from the injected
+``sleep`` once a heartbeat shows simulated progress, so no helper
+thread is alive when the pool forks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
+import signal
+import subprocess
+import sys
 import time
 
+from repro.checkpoint.snapshot import read_header
+from repro.checkpoint.surface import global_counter_state, set_global_counter_state
 from repro.supervisor import (
     DONE,
     FAILED,
@@ -21,7 +28,11 @@ from repro.supervisor import (
     Supervisor,
     backoff_delay,
     default_worker_count,
+    heartbeat_path,
+    read_heartbeat,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Small, fast HPL point used throughout.
 HPL_PARAMS = {"n": 1000, "nb": 128, "slice_s": 0.02, "dt_s": 0.01}
@@ -38,6 +49,26 @@ def _journal_events(sup, etype=None):
 def _result(sup, run_id):
     with open(os.path.join(sup.out_dir, run_id, "result.json")) as fh:
         return json.load(fh)
+
+
+def _when_progressing(run_dir, attempt, action):
+    """An injectable ``sleep`` that calls ``action(heartbeat)`` once, as
+    soon as ``attempt``'s heartbeat in ``run_dir`` reports sim time."""
+    fired = []
+
+    def sleep(seconds: float) -> None:
+        hb = read_heartbeat(heartbeat_path(run_dir))
+        if (
+            not fired
+            and hb is not None
+            and hb.get("attempt") == attempt
+            and hb.get("sim_time_s") is not None
+        ):
+            fired.append(hb)
+            action(hb)
+        time.sleep(seconds)
+
+    return sleep
 
 
 class FakeTime:
@@ -243,6 +274,90 @@ class TestLiveness:
             )
 
 
+class TestCrashClassification:
+    def test_crash_is_not_journaled_with_the_previous_attempts_error(
+        self, tmp_path
+    ):
+        """Attempt 1 times out (error.json: SimTimeout, stuck threads);
+        attempt 2 resumes, wedges and is SIGKILLed before writing any
+        error.  Its exit must read as a bare crash, not as attempt 1's
+        leftover error.json."""
+        out = tmp_path / "sweep"
+        sup = Supervisor(
+            str(out),
+            max_attempts=2,
+            backoff_s=0.0,
+            checkpoint_every_s=1.0,
+            workers=1,
+            log=lambda m: None,
+            sleep=_when_progressing(
+                str(out / "flaky"), 2, lambda hb: os.kill(hb["pid"], signal.SIGKILL)
+            ),
+        )
+        params = dict(
+            HPL_PARAMS, max_sim_s=0.05, stall_at_s=0.03, stall_on_attempts=[2]
+        )
+        manifest = sup.run([RunSpec("flaky", "hpl", params)])
+
+        exits = _journal_events(sup, "exit")
+        assert [e["attempt"] for e in exits] == [1, 2]
+        assert exits[0]["error"]["type"] == "SimTimeout"
+        assert exits[0]["error"]["stuck"]
+        assert exits[1]["code"] == -signal.SIGKILL
+        assert exits[1]["error"]["type"] == "WorkerCrash"
+        assert exits[1]["error"]["message"] == "worker died with signal 9"
+        assert "stuck" not in exits[1]["error"]
+        assert manifest.runs["flaky"].stuck == []
+
+
+class TestForkedWorker:
+    def test_forked_worker_matches_a_fresh_interpreter(self, tmp_path):
+        """A worker forked from a process whose global counters moved
+        writes the same result and checkpoint globals as
+        ``python -m repro.supervisor.worker --spec`` in a new process."""
+        g0 = global_counter_state()
+        set_global_counter_state({"kernel.perf.next_event_id": 12345})
+        try:
+            sup = Supervisor(
+                str(tmp_path / "sweep"),
+                checkpoint_every_s=0.04,
+                workers=1,
+                log=lambda m: None,
+            )
+            manifest = sup.run([RunSpec("point", "hpl", dict(HPL_PARAMS))])
+        finally:
+            set_global_counter_state(g0)
+        assert manifest.runs["point"].status == DONE
+        forked_dir = tmp_path / "sweep" / "point"
+
+        fresh_dir = tmp_path / "fresh"
+        fresh_dir.mkdir()
+        spec = json.loads((forked_dir / "spec.json").read_text())
+        spec["out_dir"] = str(fresh_dir)
+        (fresh_dir / "spec.json").write_text(json.dumps(spec))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.supervisor.worker",
+                "--spec",
+                str(fresh_dir / "spec.json"),
+            ],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        assert (forked_dir / "result.json").read_bytes() == (
+            fresh_dir / "result.json"
+        ).read_bytes()
+        forked = read_header(str(forked_dir / "checkpoint.snap"))["globals"]
+        fresh = read_header(str(fresh_dir / "checkpoint.snap"))["globals"]
+        assert forked == fresh
+
+
 class TestDrain:
     def test_drain_preempts_and_resume_converges(self, tmp_path):
         """SIGTERM path: drain mid-run → worker checkpoints and exits
@@ -265,13 +380,13 @@ class TestDrain:
             checkpoint_every_s=0.04,
             workers=1,
             log=lambda m: None,
+            sleep=_when_progressing(
+                str(tmp_path / "sweep" / "big"),
+                1,
+                lambda hb: sup.request_drain(),
+            ),
         )
-        timer = threading.Timer(0.6, sup.request_drain)
-        timer.start()
-        try:
-            manifest = sup.run([RunSpec("big", "hpl", big)])
-        finally:
-            timer.cancel()
+        manifest = sup.run([RunSpec("big", "hpl", big)])
         assert sup.drained
         rec = manifest.runs["big"]
         assert rec.status == PENDING
