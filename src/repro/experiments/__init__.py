@@ -2,8 +2,9 @@
 
 Each module exposes a ``run_*`` function returning a structured result
 and a ``render(result) -> str`` producing the paper-style rows/series.
-The benchmarks in ``benchmarks/`` regenerate every artifact through
-these entry points.
+``repro-reproduce`` (:mod:`repro.tools.reproduce`) regenerates every
+artifact through these entry points, and ``tests/test_experiments.py``
+checks the paper's claims on its quick run.
 """
 
 from repro.experiments import (  # noqa: F401

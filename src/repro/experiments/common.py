@@ -11,8 +11,9 @@ from repro.system import System
 #: The paper's full problem size is N = 57024.  Experiments default to a
 #: reduced size that preserves every qualitative behaviour (the machine
 #: reaches its thermal/power steady state well within the run) while
-#: keeping simulation time reasonable; pass ``full_scale=True`` to the
-#: run functions to use the paper's exact parameters.
+#: keeping simulation time reasonable; pass ``config=FULL_RAPTOR_CONFIG``
+#: (or ``FULL_ORANGEPI_CONFIG``) to a run function for the paper's exact
+#: parameters.
 REDUCED_RAPTOR_CONFIG = HplConfig(n=34560, nb=192)
 FULL_RAPTOR_CONFIG = HplConfig(n=57024, nb=192)
 

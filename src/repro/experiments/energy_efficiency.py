@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.common import (
-    FULL_RAPTOR_CONFIG,
     REDUCED_RAPTOR_CONFIG,
     raptor_core_sets,
     raptor_system,
@@ -48,12 +47,8 @@ class EnergyResult:
 
 
 def run_energy_efficiency(
-    full_scale: bool = False,
-    dt_s: float = 0.02,
-    config: HplConfig | None = None,
+    config: HplConfig = REDUCED_RAPTOR_CONFIG, dt_s: float = 0.02
 ) -> EnergyResult:
-    if config is None:
-        config = FULL_RAPTOR_CONFIG if full_scale else REDUCED_RAPTOR_CONFIG
     out = EnergyResult()
     for core_set in CORE_SET_ORDER:
         out.cells[core_set] = {}

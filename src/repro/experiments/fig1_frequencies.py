@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.common import (
-    FULL_RAPTOR_CONFIG,
     REDUCED_RAPTOR_CONFIG,
     raptor_core_sets,
     raptor_system,
     render_table,
 )
 from repro.hpl import HplConfig, run_hpl
-from repro.monitor import SampleTrace, aggregate_traces, monitored_run
+from repro.monitor import SampleTrace, monitored_run
 
 PAPER_MEDIANS_GHZ = {
     "openblas": {"P-core": 2.94, "E-core": 2.26},
@@ -36,31 +35,21 @@ class Fig1Result:
 
 
 def run_fig1(
-    full_scale: bool = False,
-    n_runs: int = 1,
-    dt_s: float = 0.02,
-    config: HplConfig | None = None,
+    config: HplConfig = REDUCED_RAPTOR_CONFIG, dt_s: float = 0.02
 ) -> Fig1Result:
-    if config is None:
-        config = FULL_RAPTOR_CONFIG if full_scale else REDUCED_RAPTOR_CONFIG
     out = Fig1Result()
     for variant in ("openblas", "intel"):
-        traces = []
-        for i in range(n_runs):
-            system = raptor_system(dt_s=dt_s, seed=i)
-            cpus = raptor_core_sets(system)["P and E"]
-            _, trace = monitored_run(
-                system,
-                lambda: run_hpl(system, config, variant=variant, cpus=cpus),
-                period_s=1.0,
-                settle_temp_c=35.0,
-            )
-            traces.append(trace)
-        agg = aggregate_traces(traces)
-        # Keep one representative raw trace plus aggregated medians.
-        out.traces[variant] = traces[0]
+        system = raptor_system(dt_s=dt_s)
+        cpus = raptor_core_sets(system)["P and E"]
+        _, trace = monitored_run(
+            system,
+            lambda: run_hpl(system, config, variant=variant, cpus=cpus),
+            period_s=1.0,
+            settle_temp_c=35.0,
+        )
+        out.traces[variant] = trace
         out.medians_ghz[variant] = {
-            label: agg.median_freq_ghz(label) for label in agg.freq_mhz
+            label: trace.median_freq_ghz(label) for label in trace.freq_mhz
         }
     return out
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.common import (
-    FULL_RAPTOR_CONFIG,
     REDUCED_RAPTOR_CONFIG,
     raptor_core_sets,
     raptor_system,
@@ -41,12 +40,8 @@ class Fig2Result:
 
 
 def run_fig2(
-    full_scale: bool = False,
-    dt_s: float = 0.02,
-    config: HplConfig | None = None,
+    config: HplConfig = REDUCED_RAPTOR_CONFIG, dt_s: float = 0.02
 ) -> Fig2Result:
-    if config is None:
-        config = FULL_RAPTOR_CONFIG if full_scale else REDUCED_RAPTOR_CONFIG
     out = Fig2Result()
     for variant in ("openblas", "intel"):
         system = raptor_system(dt_s=dt_s)

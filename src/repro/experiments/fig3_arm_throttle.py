@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.experiments.common import (
-    FULL_ORANGEPI_CONFIG,
     REDUCED_ORANGEPI_CONFIG,
     orangepi_core_sets,
     orangepi_system,
@@ -35,12 +34,8 @@ class Fig3Result:
 
 
 def run_fig3(
-    full_scale: bool = False,
-    dt_s: float = 0.02,
-    config: HplConfig | None = None,
+    config: HplConfig = REDUCED_ORANGEPI_CONFIG, dt_s: float = 0.02
 ) -> Fig3Result:
-    if config is None:
-        config = FULL_ORANGEPI_CONFIG if full_scale else REDUCED_ORANGEPI_CONFIG
     out = Fig3Result()
     for name in ("big x2", "all x6"):
         system = orangepi_system(dt_s=dt_s)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.common import (
-    FULL_ORANGEPI_CONFIG,
     REDUCED_ORANGEPI_CONFIG,
     orangepi_system,
     render_table,
@@ -38,12 +37,8 @@ class Fig4Result:
 
 
 def run_fig4(
-    full_scale: bool = False,
-    dt_s: float = 0.02,
-    config: HplConfig | None = None,
+    config: HplConfig = REDUCED_ORANGEPI_CONFIG, dt_s: float = 0.02
 ) -> Fig4Result:
-    if config is None:
-        config = FULL_ORANGEPI_CONFIG if full_scale else REDUCED_ORANGEPI_CONFIG
     out = Fig4Result()
     for name, cpus in CORE_SERIES:
         system = orangepi_system(dt_s=dt_s)

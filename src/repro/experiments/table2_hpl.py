@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.common import (
-    FULL_RAPTOR_CONFIG,
     REDUCED_RAPTOR_CONFIG,
     pct_change,
     raptor_core_sets,
@@ -41,7 +40,6 @@ CORE_SET_ORDER = ["E only", "P only", "P and E"]
 @dataclass
 class Table2Result:
     results: dict[str, dict[str, HplResult]] = field(default_factory=dict)
-    n_runs: int = 1
 
     def gflops(self, core_set: str, variant: str) -> float:
         return self.results[core_set][variant].gflops
@@ -53,39 +51,23 @@ class Table2Result:
 
 
 def run_table2(
-    full_scale: bool = False,
-    n_runs: int = 1,
-    dt_s: float = 0.02,
-    config: HplConfig | None = None,
+    config: HplConfig = REDUCED_RAPTOR_CONFIG, dt_s: float = 0.02
 ) -> Table2Result:
-    """Run all six cells.
+    """Run all six cells, each on a fresh machine settled to 35 degC per
+    the paper's methodology.
 
-    ``n_runs`` averages repeated runs (the paper used 10); each run uses
-    a fresh machine settled to 35 degC, per the paper's methodology.
+    The paper averaged 10 runs per cell; here one run stands for all of
+    them, because HPL threads are pinned and repeats are bit-identical.
     """
-    if config is None:
-        config = FULL_RAPTOR_CONFIG if full_scale else REDUCED_RAPTOR_CONFIG
-    out = Table2Result(n_runs=n_runs)
+    out = Table2Result()
     for core_set in CORE_SET_ORDER:
         out.results[core_set] = {}
         for variant in ("openblas", "intel"):
-            runs = []
-            for i in range(n_runs):
-                system = raptor_system(dt_s=dt_s, seed=i)
-                cpus = raptor_core_sets(system)[core_set]
-                runs.append(
-                    run_hpl(
-                        system,
-                        config,
-                        variant=variant,
-                        cpus=cpus,
-                        settle_temp_c=35.0,
-                    )
-                )
-            best = max(runs, key=lambda r: r.gflops)
-            avg_gflops = sum(r.gflops for r in runs) / len(runs)
-            best.gflops = avg_gflops
-            out.results[core_set][variant] = best
+            system = raptor_system(dt_s=dt_s)
+            cpus = raptor_core_sets(system)[core_set]
+            out.results[core_set][variant] = run_hpl(
+                system, config, variant=variant, cpus=cpus, settle_temp_c=35.0
+            )
     return out
 
 

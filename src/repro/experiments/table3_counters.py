@@ -1,8 +1,11 @@
 """Table III: hardware counter measurements for the all-core runs.
 
-Collected the way the paper did — with the perf tool (our mini
-``perf stat``), not PAPI: LLC miss rate per core type and the share of
-total instructions retired by each core type.
+LLC miss rate per core type and the share of total instructions retired
+by each core type.  The paper collected these with the perf tool, not
+PAPI.  Here they are the simulator's ground truth: :func:`run_table3`
+reads the per-PMU totals that ``finish_hpl`` sums from every HPL
+thread's ``SimThread.counters``, and opens no perf event.  Measuring
+them through the simulated perf is an open item in ROADMAP.md.
 
 Paper values (all-core runs):
 
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.common import (
-    FULL_RAPTOR_CONFIG,
     REDUCED_RAPTOR_CONFIG,
     raptor_core_sets,
     raptor_system,
@@ -40,12 +42,8 @@ class Table3Result:
 
 
 def run_table3(
-    full_scale: bool = False,
-    dt_s: float = 0.02,
-    config: HplConfig | None = None,
+    config: HplConfig = REDUCED_RAPTOR_CONFIG, dt_s: float = 0.02
 ) -> Table3Result:
-    if config is None:
-        config = FULL_RAPTOR_CONFIG if full_scale else REDUCED_RAPTOR_CONFIG
     out = Table3Result()
     for variant in ("openblas", "intel"):
         system = raptor_system(dt_s=dt_s)

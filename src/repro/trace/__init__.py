@@ -9,8 +9,7 @@ Entry points:
   Perfetto-loadable Chrome trace-event JSON; :func:`to_text` /
   :func:`parse_text` are the ``perf script``-style dump and its exact
   inverse.
-* ``python -m repro.trace`` (or ``tools/trace.py``) runs a workload and
-  writes both formats.
+* ``python -m repro.trace`` runs a workload and writes both formats.
 """
 
 from repro.trace.export import parse_text, save_chrome, to_chrome, to_text

@@ -1,6 +1,6 @@
 """Command-line trace capture: run a canned workload, export the trace.
 
-Equivalent launcher: ``python tools/trace.py``.  Examples::
+Examples (with ``src`` on ``PYTHONPATH``)::
 
     python -m repro.trace run --workload migrate --chrome out.trace.json
     python -m repro.trace run --workload hpl --seconds 2 --text out.trace.txt

@@ -1,4 +1,5 @@
-"""Shared fixtures: simulated systems of every machine preset.
+"""Shared fixtures: simulated systems of every machine preset, and one
+quick reproduction of every paper experiment.
 
 Also installs a SIGALRM-based per-test wall-clock timeout: a wedged test
 (a worker process that never exits, a sim loop that stopped
@@ -21,6 +22,7 @@ from repro.hw.machines import (
     raptor_lake_i7_13700,
 )
 from repro.system import System
+from repro.tools.reproduce import Results, run_experiments
 
 #: Generous default: the slowest tier-1 tests (multi-attempt supervisor
 #: sweeps with real forked workers) finish well under a minute.
@@ -98,3 +100,9 @@ def orangepi_acpi() -> System:
 @pytest.fixture(params=["raptor-lake-i7-13700", "orangepi-800", "xeon-homogeneous", "dynamiq-three-tier"])
 def any_system(request) -> System:
     return System(request.param, dt_s=1e-4)
+
+
+@pytest.fixture(scope="session")
+def quick_results() -> Results:
+    """The experiments of ``repro-reproduce --quick``, run once per session."""
+    return run_experiments(quick=True, log=lambda message: None)

@@ -712,7 +712,7 @@ class TestLeakRegressions:
         "src/repro/experiments/overhead.py",
         "src/repro/workloads/guided.py",
         "examples/overflow_profiling.py",
-        "benchmarks/test_ablations.py",
+        "tests/test_experiments.py",
     ]
 
     def test_fixed_files_stay_clean(self):

@@ -56,8 +56,9 @@ def test_guided_scheduling_example():
 
 
 def test_hpl_motivation_importable():
-    """The heavyweight example is exercised by the benchmarks; here we
-    only verify it loads and wires up the experiment modules."""
+    """The heavyweight example runs the experiments that
+    tests/test_experiments.py checks at the quick size; here we only
+    verify it loads and wires up the experiment modules."""
     spec = importlib.util.spec_from_file_location(
         "hpl_motivation", EXAMPLES / "hpl_motivation.py"
     )

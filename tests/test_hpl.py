@@ -101,6 +101,25 @@ class TestTuning:
         assert result.best.nb == 256
         assert "Gflop/s" in result.table()
 
+    def test_sweep_on_simulated_hpl(self):
+        """The §II-A.2 sweep at quarter scale, on the openblas build."""
+
+        def run_cell(config):
+            system = System("raptor-lake-i7-13700", dt_s=0.02)
+            cpus = system.topology.primary_threads()
+            return run_hpl(system, config, variant="openblas", cpus=cpus).gflops
+
+        result = tune_hpl(32, run_cell, scale=0.25)
+        assert len(result.cells) == 16
+        # Large blocks win over NB=64 (blocking efficiency).
+        assert result.best.nb >= 128
+        # The paper's point (N = 57024, NB = 192) sits in the range the
+        # beta approach proposes for NB = 192.
+        ns_192 = sorted(
+            beta_problem_size(32, c.beta, 192) for c in result.cells if c.nb == 192
+        )
+        assert ns_192[0] * 0.95 <= 57024 <= ns_192[-1] * 1.05
+
 
 class TestVariants:
     def test_known_variants(self):

@@ -3,11 +3,9 @@
 from repro.tools import reproduce
 
 
-def test_quick_reproduction_report(tmp_path):
-    out = tmp_path / "report.md"
-    rc = reproduce.main(["--quick", "--out", str(out)])
-    assert rc == 0
-    text = out.read_text()
+def test_quick_reproduction_report(quick_results):
+    text, ok = reproduce.render_report(quick_results)
+    assert ok
     # Every artifact section is present.
     for heading in (
         "Table I —", "Table IV —", "Table II —", "Table III —",
@@ -17,3 +15,18 @@ def test_quick_reproduction_report(tmp_path):
         assert heading in text, heading
     assert "ALL SHAPE CLAIMS HOLD" in text
     assert "FAIL" not in text
+
+
+def test_main_writes_the_rendered_report(tmp_path, monkeypatch, quick_results):
+    calls = []
+
+    def run_experiments(full_scale, quick, log):
+        calls.append((full_scale, quick))
+        return quick_results
+
+    monkeypatch.setattr(reproduce, "run_experiments", run_experiments)
+    out = tmp_path / "report.md"
+    assert reproduce.main(["--quick", "--out", str(out)]) == 0
+    assert reproduce.main(["--full-scale", "--out", str(out)]) == 0
+    assert calls == [(False, True), (True, False)]
+    assert out.read_text() == reproduce.render_report(quick_results)[0]

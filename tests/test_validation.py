@@ -477,8 +477,8 @@ reads  reads/s  runtime ms  runtime vs base  energy J  energy vs base  PAPI ener
 
 class TestOverheadDerived:
     @pytest.fixture(scope="class")
-    def result(self):
-        return overhead.run_overhead()
+    def result(self, quick_results):
+        return quick_results.overhead
 
     def test_table_output_pinned(self, result):
         assert overhead.render(result) == OVERHEAD_TABLE
@@ -496,8 +496,8 @@ class TestOverheadDerived:
 
 class TestRaplOverheadDerived:
     @pytest.fixture(scope="class")
-    def result(self):
-        return rapl_overhead.run_rapl_overhead()
+    def result(self, quick_results):
+        return quick_results.rapl_overhead
 
     def test_table_output_pinned(self, result):
         assert rapl_overhead.render(result) == RAPL_TABLE

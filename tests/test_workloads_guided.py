@@ -62,15 +62,23 @@ class TestStudy:
     def study(self):
         return run_guided_study(per_profile=6, target_seconds=0.1)
 
-    def test_guided_beats_blind_policies(self, study):
-        guided = study.outcomes["guided"].makespan_s
-        assert guided < study.outcomes["naive"].makespan_s
-        assert guided < study.outcomes["inverted"].makespan_s
-        assert study.speedup("inverted") > 1.15
+    @pytest.fixture(scope="class")
+    def default_study(self):
+        """The default batch: 8 jobs of 0.2 s per profile."""
+        return run_guided_study()
 
-    def test_guided_uses_least_energy(self, study):
-        energies = {p: o.energy_j for p, o in study.outcomes.items()}
-        assert energies["guided"] == min(energies.values())
+    def test_guided_beats_blind_policies(self, study, default_study):
+        for s in (study, default_study):
+            guided = s.outcomes["guided"].makespan_s
+            assert guided < s.outcomes["naive"].makespan_s
+            assert guided < s.outcomes["inverted"].makespan_s
+            assert s.speedup("inverted") > 1.15
+            assert s.speedup("naive") > 1.05
+
+    def test_guided_uses_least_energy(self, study, default_study):
+        for s in (study, default_study):
+            energies = {p: o.energy_j for p, o in s.outcomes.items()}
+            assert energies["guided"] == min(energies.values())
 
     def test_guided_sends_memory_jobs_to_ecores(self, study):
         assignments = study.outcomes["guided"].assignments
