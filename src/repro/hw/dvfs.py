@@ -20,9 +20,12 @@ UTIL_HEADROOM = 1.25
 
 @snapshot_surface(
     state=("topology", "freq_mhz", "_ceilings", "tracer"),
+    caches=("_ceiling_min",),
+    rebuild="_init_caches",
     digest_exclude=("tracer",),
     note="All state: per-cluster frequencies and named ceiling maps.  "
-    "The tracer is a digest-excluded observer set by the machine."
+    "The tracer is a digest-excluded observer set by the machine; each "
+    "cluster's effective (lowest) ceiling is derived from the maps."
 )
 class DvfsGovernor:
     """Tracks the operating frequency of each cluster.
@@ -42,23 +45,44 @@ class DvfsGovernor:
         self._ceilings: list[dict[str, float]] = [dict() for _ in range(n)]
         #: Trace observer, set by the owning Machine when tracing is on.
         self.tracer = None
+        self._init_caches()
+
+    def _init_caches(self) -> None:
+        self._ceiling_min = [
+            self._lowest(i) for i in range(len(self.topology.clusters))
+        ]
+
+    def _lowest(self, cluster: int) -> float:
+        lims = self._ceilings[cluster]
+        if lims:
+            return min(lims.values())
+        return self.topology.clusters[cluster].ctype.max_freq_mhz
 
     # -- constraints ------------------------------------------------------
 
     def set_ceiling(self, cluster: int, name: str, max_mhz: float) -> None:
         """Impose (or update) a named frequency ceiling on a cluster."""
         ct = self.topology.clusters[cluster].ctype
-        self._ceilings[cluster][name] = min(
-            max(max_mhz, ct.min_freq_mhz), ct.max_freq_mhz
-        )
+        # ``min(max(max_mhz, lo), hi)``, returning the same operand on
+        # ties (so an int bound stays an int).
+        lo = ct.min_freq_mhz
+        hi = ct.max_freq_mhz
+        mhz = lo if lo > max_mhz else max_mhz
+        if hi < mhz:
+            mhz = hi
+        lims = self._ceilings[cluster]
+        old = lims.get(name)
+        if old == mhz and type(old) is type(mhz):
+            return  # steady state: RAPL and thermal rewrite every tick
+        lims[name] = mhz
+        self._ceiling_min[cluster] = min(lims.values())
 
     def clear_ceiling(self, cluster: int, name: str) -> None:
         self._ceilings[cluster].pop(name, None)
+        self._ceiling_min[cluster] = self._lowest(cluster)
 
     def ceiling_mhz(self, cluster: int) -> float:
-        ct = self.topology.clusters[cluster].ctype
-        lims = self._ceilings[cluster]
-        return min(lims.values()) if lims else ct.max_freq_mhz
+        return self._ceiling_min[cluster]
 
     # -- governor ----------------------------------------------------------
 
@@ -76,22 +100,30 @@ class DvfsGovernor:
         tr = self.tracer
         if tr is not None and not tr.dvfs:
             tr = None
+        freq_mhz = self.freq_mhz
+        ceiling = self._ceiling_min
         for i, cl in enumerate(self.topology.clusters):
             ct = cl.ctype
-            target = ct.max_freq_mhz * min(1.0, cluster_util[i] * UTIL_HEADROOM)
-            target = max(target, ct.min_freq_mhz)
-            target = min(target, self.ceiling_mhz(i))
-            if tr is not None and target != self.freq_mhz[i]:
+            # The clamps are ``min``/``max`` written out: the same operand
+            # on ties, so an int bound stays an int.
+            util = cluster_util[i] * UTIL_HEADROOM
+            target = ct.max_freq_mhz * (util if util < 1.0 else 1.0)
+            lo = ct.min_freq_mhz
+            if lo > target:
+                target = lo
+            cap = ceiling[i]
+            if cap < target:
+                target = cap
+            if tr is not None and target != freq_mhz[i]:
                 tr.emit(
                     "dvfs",
                     "freq",
                     args={
                         "cluster": i,
                         "core_type": ct.name,
-                        "from_mhz": self.freq_mhz[i],
+                        "from_mhz": freq_mhz[i],
                         "to_mhz": target,
-                        "capped": target < ct.max_freq_mhz
-                        and target == self.ceiling_mhz(i),
+                        "capped": target < ct.max_freq_mhz and target == cap,
                     },
                 )
                 tr.metrics.counter("dvfs.transitions", key=ct.name)
@@ -99,7 +131,7 @@ class DvfsGovernor:
                 tr.metrics.observe("dvfs.freq_mhz", key=ct.name, value=target)
             # Frequency transitions are effectively instantaneous at our
             # tick granularity (hardware P-state changes take microseconds).
-            self.freq_mhz[i] = target
+            freq_mhz[i] = target
 
     def freq_of_cpu_mhz(self, cpu_id: int) -> float:
         return self.freq_mhz[self.topology.core(cpu_id).cluster]

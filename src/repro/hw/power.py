@@ -98,26 +98,38 @@ class PowerModel:
             busy = [float(v) for v in busy]
         if type(spin) is not list:
             spin = [float(v) for v in spin]
-        per_cluster = [0.0] * len(self.topology.clusters)
-        ghz = [f / 1000.0 for f in cluster_freq_mhz]
+        clusters = self.topology.clusters
+        per_cluster = [0.0] * len(clusters)
+        # Each cluster's c_dyn * f * V^2 once per sample, evaluated left
+        # to right as ``PowerCoefficients.core_power`` does; a core then
+        # adds ``dyn * activity + leak`` exactly as ``core_power`` would.
+        dyn = []
+        for cl, mhz in zip(clusters, cluster_freq_mhz):
+            pc = cl.ctype.power
+            ghz = mhz / 1000.0
+            v = pc.v0 + pc.v_slope * ghz
+            dyn.append(pc.c_dyn * ghz * v * v)
         spf = SPIN_POWER_FRACTION
         for cluster, ct, cpu_ids in self._phys_groups:
-            if len(cpu_ids) == 1:
-                c0 = cpu_ids[0]
-                # Single-occupancy core: primary + 0.0 extra, clamped.
-                eff_activity = busy[c0] + spf * spin[c0]
-                if eff_activity > 1.2:
-                    eff_activity = 1.2
+            c0 = cpu_ids[0]
+            primary = busy[c0] + spf * spin[c0]
+            if len(cpu_ids) > 1:
+                # SMT siblings: the busiest drives the core and each other
+                # busy sibling adds ~20% on top of the shared core power.
+                # ``total`` is the siblings' sum (started at int 0, as
+                # ``sum`` starts) and ``primary`` their ``max``.
+                total = 0 + primary
+                for c in cpu_ids[1:]:
+                    a = busy[c] + spf * spin[c]
+                    total += a
+                    if a > primary:
+                        primary = a
+                eff_activity = primary + 0.2 * (total - primary)
             else:
-                activities = [busy[c] + spf * spin[c] for c in cpu_ids]
-                primary = max(activities)
-                # A busy SMT sibling adds ~20% on top of the shared core
-                # power.
-                extra = 0.2 * (sum(activities) - primary)
-                eff_activity = primary + extra
-                if eff_activity > 1.2:
-                    eff_activity = 1.2
-            per_cluster[cluster] += ct.power.core_power(ghz[cluster], eff_activity)
+                eff_activity = primary
+            if eff_activity > 1.2:
+                eff_activity = 1.2
+            per_cluster[cluster] += dyn[cluster] * eff_activity + ct.power.leak_w
         n = len(self.topology.cores)
         util = 0.0
         for b, s in zip(busy, spin):

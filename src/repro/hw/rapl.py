@@ -145,30 +145,43 @@ class RaplPackage:
             tr.rapl_sample(self, package_w)
         if not self.enabled:
             return
-        pl1 = self.spec.rapl_pl1_w
-        pl2 = self.spec.rapl_pl2_w
-        w1 = self.spec.rapl_pl1_window_s
+        spec = self.spec
+        pl1 = spec.rapl_pl1_w
+        pl2 = spec.rapl_pl2_w
+        # ``a if a < b else b`` is ``min(b, a)`` and ``a if a > b else b``
+        # is ``max(b, a)``: the same operand on ties, so the same type.
+        #
         # Exponential running averages; the PL1 window starts empty, so a
         # fresh workload may burst up to PL2 until it fills — Figure 2's
         # initial spike.
-        self._avg1_w += (package_w - self._avg1_w) * min(1.0, dt_s / w1)
-        self._avg_fast_w += (package_w - self._avg_fast_w) * min(
-            1.0, dt_s / self.FAST_WINDOW_S
-        )
+        k1 = dt_s / spec.rapl_pl1_window_s
+        avg1 = self._avg1_w
+        avg1 += (package_w - avg1) * (k1 if k1 < 1.0 else 1.0)
+        self._avg1_w = avg1
+        kf = dt_s / self.FAST_WINDOW_S
+        fast = self._avg_fast_w
+        fast += (package_w - fast) * (kf if kf < 1.0 else 1.0)
+        self._avg_fast_w = fast
 
         # The budget the controller defends: PL2 while the long-term
         # average is still under PL1, then PL1.
-        budget = pl2 if (pl2 is not None and self._avg1_w < pl1 * 0.98) else pl1
-        signal = max(self._avg_fast_w, 1e-3)
+        budget = pl2 if (pl2 is not None and avg1 < pl1 * 0.98) else pl1
+        signal = 1e-3 if 1e-3 > fast else fast
         ratio = (budget / signal) ** 0.25
         # Rate-limit scale changes: shrink faster than grow.
-        lo = 1.0 - min(0.5, 1.2 * dt_s)
-        hi = 1.0 + min(0.2, 0.5 * dt_s)
-        adj = min(max(ratio, lo), hi)
+        shrink = 1.2 * dt_s
+        lo = 1.0 - (shrink if shrink < 0.5 else 0.5)
+        grow = 0.5 * dt_s
+        hi = 1.0 + (grow if grow < 0.2 else 0.2)
+        adj = lo if lo > ratio else ratio
+        if hi < adj:
+            adj = hi
         if adj < 1.0:
             self.throttle_events += 1
         prev_scale = self._scale
-        self._scale = min(1.0, max(0.05, self._scale * adj))
+        scale = prev_scale * adj
+        scale = scale if scale > 0.05 else 0.05
+        self._scale = scale = scale if scale < 1.0 else 1.0
         if (
             tr is not None
             and (self._scale < 1.0 - 1e-9) != (prev_scale < 1.0 - 1e-9)
@@ -188,8 +201,8 @@ class RaplPackage:
                     "rapl.power_limit_transitions", key=self.package.name
                 )
 
-        for i, cl in enumerate(self.spec.topology.clusters):
-            governor.set_ceiling(i, CEILING_NAME, cl.ctype.max_freq_mhz * self._scale)
+        for i, cl in enumerate(spec.topology.clusters):
+            governor.set_ceiling(i, CEILING_NAME, cl.ctype.max_freq_mhz * scale)
 
     # -- introspection used by the monitor/sampler -------------------------
 

@@ -97,9 +97,10 @@ class ThermalModel:
         self._ipa = None
 
     def _ipa_constants(self):
-        """Memoized per-cluster allocator inputs, all derived from the
-        static machine spec: min/max-frequency core power at full
-        activity and the most-efficient-first grant order."""
+        """Memoized allocator inputs, all derived from the static machine
+        spec: per-cluster min/max-frequency core power at full activity,
+        the most-efficient-first grant order, the sustainable power and
+        per-cluster max frequency in GHz."""
         ipa = self._ipa
         if ipa is None:
             clusters = self.spec.topology.clusters
@@ -107,16 +108,17 @@ class ThermalModel:
                 cl.ctype.power.core_power(cl.ctype.min_freq_ghz, 1.0)
                 for cl in clusters
             ]
+            max_ghz = [cl.ctype.max_freq_ghz for cl in clusters]
             max_w = [
-                cl.ctype.power.core_power(cl.ctype.max_freq_ghz, 1.0)
-                for cl in clusters
+                cl.ctype.power.core_power(ghz, 1.0)
+                for cl, ghz in zip(clusters, max_ghz)
             ]
             order = sorted(
                 range(len(clusters)),
                 key=lambda i: clusters[i].ctype.capacity / max(max_w[i], 1e-6),
                 reverse=True,
             )
-            ipa = self._ipa = (min_w, max_w, order)
+            ipa = self._ipa = (min_w, max_w, order, self.sustainable_power_w, max_ghz)
         return ipa
 
     @property
@@ -128,10 +130,11 @@ class ThermalModel:
         """Advance the RC model by ``dt_s`` under ``power_w``; returns temp."""
         spec = self.spec
         prev_c = self.temp_c
-        dTdt = (power_w - (self.temp_c - spec.ambient_c) / spec.thermal_r_c_per_w) / spec.thermal_c_j_per_c
-        self.temp_c += dTdt * dt_s
-        self.temp_c = max(spec.ambient_c, self.temp_c)
-        self.zone.temp_c = self.temp_c
+        ambient = spec.ambient_c
+        dTdt = (power_w - (prev_c - ambient) / spec.thermal_r_c_per_w) / spec.thermal_c_j_per_c
+        temp = prev_c + dTdt * dt_s
+        # ``max(ambient, temp)``: ambient (maybe an int) on a tie.
+        self.temp_c = self.zone.temp_c = temp if temp > ambient else ambient
         # Thermal steps run live on both engines; trip-crossing events
         # are therefore emitted at engine-identical sim times.
         tr = self.tracer
@@ -205,28 +208,28 @@ class ThermalModel:
         uncore+DRAM power that comes off the top of the budget.
         """
         spec = self.spec
-        topo = spec.topology
+        clusters = spec.topology.clusters
+        min_w, max_w, order, sustainable_w, max_ghz = self._ipa_constants()
         margin = spec.thermal_trip_c - self.temp_c
-        budget = self.sustainable_power_w * (
-            1.0 + self.BUDGET_GAIN_FRACTION_PER_C * margin
-        )
+        budget = sustainable_w * (1.0 + self.BUDGET_GAIN_FRACTION_PER_C * margin)
         if margin < 0:
             self.throttle_events += 1
-        min_w, max_w, order = self._ipa_constants()
 
         # Active clusters burn their minimum-frequency power no matter
         # what the allocator decides; take that off the top so granting a
         # cluster zero surplus does not push the package past budget.
-        floor_w = {}
-        for i in range(len(topo.clusters)):
+        # (Idle clusters' 0.0 entries leave the sum unchanged.)
+        floor_w = [0.0] * len(clusters)
+        for i in range(len(clusters)):
             activity = cluster_activity[i]
             if activity > 1e-6:
                 floor_w[i] = min_w[i] * activity
-        remaining = budget - other_power_w - sum(floor_w.values())
+        remaining = budget - other_power_w - sum(floor_w)
 
+        # The clamps are ``min``/``max`` written out, returning the same
+        # operand on ties.
         for i in order:
-            cl = topo.clusters[i]
-            ct = cl.ctype
+            ct = clusters[i].ctype
             activity = cluster_activity[i]
             if activity <= 1e-6:
                 governor.set_ceiling(i, CEILING_NAME, ct.max_freq_mhz)
@@ -234,12 +237,20 @@ class ThermalModel:
                 continue
             # Grant this cluster its floor plus a share of the surplus.
             extra_demand = (max_w[i] - min_w[i]) * activity
-            grant = min(max(remaining, 0.0), extra_demand)
+            grant = 0.0 if 0.0 > remaining else remaining
+            if extra_demand < grant:
+                grant = extra_demand
             per_core = (floor_w[i] + grant) / activity
-            f_ghz = ct.power.freq_for_power(
-                per_core, 1.0, ct.min_freq_ghz, ct.max_freq_ghz
-            )
+            if max_w[i] <= per_core:
+                # freq_for_power's first test: max frequency fits.
+                f_ghz = max_ghz[i]
+                power_w = max_w[i]
+            else:
+                f_ghz = ct.power.freq_for_power(
+                    per_core, 1.0, ct.min_freq_ghz, max_ghz[i]
+                )
+                power_w = ct.power.core_power(f_ghz, 1.0)
             governor.set_ceiling(i, CEILING_NAME, f_ghz * 1000.0)
-            self._note_scale(i, f_ghz / ct.max_freq_ghz)
-            used_extra = ct.power.core_power(f_ghz, 1.0) * activity - floor_w[i]
-            remaining -= max(used_extra, 0.0)
+            self._note_scale(i, f_ghz / max_ghz[i])
+            used_extra = power_w * activity - floor_w[i]
+            remaining -= 0.0 if 0.0 > used_extra else used_extra

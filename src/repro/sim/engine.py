@@ -63,6 +63,7 @@ from repro.hw.thermal import ThermalModel
 from repro.hw.topology import Core
 from repro.kernel.sched import Scheduler
 from repro.sim.clock import SimClock
+from repro.sim.events import AllDone, EventEngine, SchedCache
 from repro.sim.task import ControlOp, Program, SimThread, ThreadState
 from repro.trace.tracer import make_tracer
 from repro.sim.workload import (
@@ -243,8 +244,6 @@ class Machine:
         self.last_checkpoint_path: Optional[str] = None
 
         if engine == "events":
-            from repro.sim.events import EventEngine
-
             self._event_engine = EventEngine(self)
         else:
             self._event_engine = None
@@ -265,8 +264,6 @@ class Machine:
         self._rec = None
         self._vec_scratch = np.zeros(N_ARCH_EVENTS, dtype=np.float64)
         if getattr(self, "engine", None) == "events":
-            from repro.sim.events import SchedCache
-
             self._sched_cache = SchedCache(self.scheduler)
         else:
             self._sched_cache = None
@@ -850,7 +847,7 @@ class Machine:
     ) -> bool:
         watch = list(threads) if threads is not None else self.threads
         return self.run_until(
-            lambda: all(t.done for t in watch),
+            AllDone(watch),
             max_s=max_s,
             strict=strict,
             watch=watch,

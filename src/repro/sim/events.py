@@ -14,10 +14,11 @@ The machine marks the recorder dead at the first non-steady event (phase
 boundary, wake, migration, overflow sample); otherwise the recorder ends
 the tick holding
 
-* the ordered list of numeric increments the tick performed
-  (``ops``), each of which is replayed as the *identical* float/int
-  operation on the identical live object — so a replayed tick is
-  bit-for-bit the same as a plain tick;
+* the numeric increments the tick performed, grouped by target (a
+  counter array, a ``(dict, key)`` cell or a compute chain) and kept in
+  recorded order within each target, so replay performs the *identical*
+  float/int operations on the identical live objects — a replayed tick
+  is bit-for-bit the same as a plain tick;
 * the guards that must hold for the *next* tick to be a repeat: spin/
   sleep wake conditions still false, compute phases not completing,
   multiplexing rotation slot unchanged, DVFS frequencies unchanged;
@@ -48,9 +49,22 @@ event fires on exactly the same tick as the single-tick engine.
 Rate-based bounds (compute, mux, overflow) are shaved by ``_SLACK`` to
 stay provably below the crossing despite float rounding in the replayed
 accumulations; grid-time bounds (wake, fault) are exact.  Opaque
-predicates — spin ``until`` conditions, conditional faults,
-``run_until``'s caller condition — cannot report a horizon and degrade
-that span to per-tick polling.
+predicates — spin ``until`` conditions, conditional faults, an opaque
+``run_until`` condition — cannot report a horizon and degrade that span
+to per-tick polling.  ``run_until_done``'s condition (:class:`AllDone`)
+is not opaque: a thread retires only at a phase boundary, so it is
+checked between spans and its deadline is solved on the tick grid like
+a wake time.
+
+A leap (:meth:`_Span.leap`) costs one pass per target, not one
+operation per target per tick.  It first steps the hardware recurrences
+tick by tick through their public per-tick methods, stopping after a
+tick that moves a frequency, then applies the ``j`` ticks that ran: a
+float target's ``j`` repeats go through one ``np.add.accumulate`` (a
+running sum rounds exactly as the sequential adds do; see
+:class:`_Block`), an int cell adds ``j * sum(incs)``.  The reordering is
+exact because nothing else runs inside a leap and the recurrences read
+none of the recorded targets.  Short leaps replay with plain adds.
 
 Recording is only attempted when no unsafe hooks are registered (see
 ``Machine.mark_hook_fastpath_safe``) and scheduler jitter is off.  Two
@@ -68,6 +82,8 @@ further optimizations are invisible to the digest law:
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.sim.workload import SleepPhase
 
@@ -92,6 +108,18 @@ _SLACK = 1e-6
 #: valid for astronomically long horizons; the span just leaps again).
 _MAX_LEAP = 10 ** 9
 
+#: Shortest leap applied as one bulk block; shorter ones replay their
+#: ticks with plain adds, which is cheaper than setting up the block.
+_BULK_MIN = 8
+
+#: Bound on a bulk replay's scratch block, in float64 elements (the
+#: accumulate output doubles it): longer leaps run in several blocks, so
+#: a long leap costs no more memory than a short one.
+_BLOCK_FLOATS = 1 << 14
+
+#: The dtype of every bulk-replay column.
+_F64 = np.dtype(np.float64)
+
 #: Cap on the record back-off, in ticks run plainly after a killed
 #: recorder before the next recording attempt.  Attaching a recorder
 #: costs real wall time (guard bookkeeping, per-bucket vector copies in
@@ -106,7 +134,8 @@ class TickRecorder:
 
     __slots__ = (
         "unsteady",
-        "ops",
+        "vecs",
+        "cells",
         "blocked",
         "spin_guards",
         "compute_guards",
@@ -122,10 +151,14 @@ class TickRecorder:
 
     def __init__(self):
         self.unsteady = False
-        # Ordered numeric increments: ("v", array, inc_array) for numpy
-        # in-place adds, ("d", dict, key, inc) for dict-value adds
-        # (attribute adds go through the instance ``__dict__``).
-        self.ops: list[tuple] = []
+        # Numeric increments grouped by target, each target's own in
+        # recorded order (float addition is not associative; distinct
+        # targets are independent): id(array) -> [array, inc...] for
+        # numpy in-place adds, (id(dict), key) -> [dict, key, inc...]
+        # for dict-value adds (attribute adds go through the instance
+        # ``__dict__``).
+        self.vecs: dict = {}
+        self.cells: dict = {}
         self.blocked: list[tuple] = []          # (thread, SleepPhase|None)
         self.spin_guards: list = []             # until() callables
         self.compute_guards: dict = {}          # id(phase) -> [phase, incs...]
@@ -143,14 +176,22 @@ class TickRecorder:
     # -- cells ---------------------------------------------------------------
 
     def vec(self, target, inc) -> None:
-        self.ops.append(("v", target, inc))
+        entry = self.vecs.get(id(target))
+        if entry is None:
+            self.vecs[id(target)] = [target, inc]
+        else:
+            entry.append(inc)
 
     def scalar(self, obj, attr: str, inc) -> None:
         """An add to plain instance attribute ``obj.attr``."""
-        self.ops.append(("d", obj.__dict__, attr, inc))
+        self.dict_add(obj.__dict__, attr, inc)
 
     def dict_add(self, d: dict, key, inc) -> None:
-        self.ops.append(("d", d, key, inc))
+        entry = self.cells.get((id(d), key))
+        if entry is None:
+            self.cells[(id(d), key)] = [d, key, inc]
+        else:
+            entry.append(inc)
 
     def rt_add(self, thread, time_s: float) -> None:
         """A ``total_runtime_s`` increment (tracked for mux guards)."""
@@ -229,6 +270,153 @@ class TickRecorder:
         )
 
 
+def _replay_tick(vecs, cells, chains) -> None:
+    """Apply one tick of increments with plain adds, target by target."""
+    for target, incs in vecs:
+        for inc in incs:
+            target += inc
+    for d, key, incs in cells:
+        v = d[key]
+        for inc in incs:
+            v = v + inc
+        d[key] = v
+    for phase, incs in chains:
+        r = phase.remaining
+        for e in incs:
+            r = r - e
+        phase.remaining = r
+
+
+class _Block:
+    """A span's increments laid out for bulk replay.
+
+    Every float target is a column of one block: each element of a
+    float64 array, each float cell, and each compute chain, whose
+    subtracted executions are added as negations (IEEE subtraction *is*
+    addition of the negation).  One tick is ``width`` rows, the most
+    increments any target takes per tick; shorter targets are padded
+    with -0.0, the exact additive identity (+0.0 would turn a -0.0 into
+    +0.0).  ``np.add.accumulate`` down a column is a running sum, so it
+    rounds every partial sum exactly as the sequential adds do and its
+    last row holds each target's value after the leap.  Int cells
+    (switch counts) add ``j * sum(incs)``; anything else is replayed
+    tick by tick.
+    """
+
+    def __init__(self, vecs, cells, chains, ticks: int):
+        self.arrays: list[tuple] = []   # (array, first column)
+        self.floats: list[tuple] = []   # (dict, key)
+        self.phases: list = []          # compute-chain phases
+        self.ints: list[tuple] = []     # (dict, key, one tick's sum)
+        # Targets outside the block, replayed per tick.
+        self.slow = slow = ([], [], [])
+        array_incs = []
+        scalar_incs = []
+        k = 0
+        for target, incs in vecs:
+            if type(target) is np.ndarray and target.dtype == _F64 and target.ndim == 1:
+                for i in incs:
+                    if type(i) is not np.ndarray or i.dtype != _F64 or i.shape != target.shape:
+                        break
+                else:
+                    self.arrays.append((target, k))
+                    array_incs.append(incs)
+                    k += target.size
+                    continue
+            slow[0].append((target, incs))
+        self.first_scalar = k
+        for d, key, incs in cells:
+            t = type(d[key])
+            if t is float or t is int:
+                for i in incs:
+                    if type(i) is not t:
+                        break
+                else:
+                    if t is float:
+                        self.floats.append((d, key))
+                        scalar_incs.append(incs)
+                    else:
+                        self.ints.append((d, key, sum(incs)))
+                    continue
+            slow[1].append((d, key, incs))
+        for phase, incs in chains:
+            if type(phase.remaining) is float:
+                for e in incs:
+                    if type(e) is not float:
+                        break
+                else:
+                    self.phases.append(phase)
+                    scalar_incs.append([-e for e in incs])
+                    continue
+            slow[2].append((phase, incs))
+        k += len(scalar_incs)
+        self.width = width = max(map(len, array_incs + scalar_incs), default=1)
+        tick = np.full((width, k), -0.0)
+        for (target, col), incs in zip(self.arrays, array_incs):
+            for row, inc in enumerate(incs):
+                tick[row, col:col + target.size] = inc
+        if scalar_incs:
+            pad = [-0.0] * width
+            flat = []
+            for incs in scalar_incs:
+                flat += incs
+                if len(incs) < width:
+                    flat += pad[len(incs):]
+            tick[:, self.first_scalar:] = np.array(flat).reshape(-1, width).T
+        self.tick = tick
+        self.cap = 0
+        self._grow(ticks)
+
+    def _grow(self, ticks: int) -> None:
+        """Size the scratch block for ``ticks`` ticks, within the bound."""
+        width, k = self.tick.shape
+        cap = min(ticks, max(1, _BLOCK_FLOATS // (width * k or 1)))
+        if cap <= self.cap:
+            return
+        self.cap = cap
+        self.block = np.empty((1 + cap * width, k))
+        self.block[1:].reshape(cap, width, k)[:] = self.tick
+        self.out = np.empty_like(self.block)
+
+    def apply(self, j: int) -> None:
+        """Apply ``j`` ticks of increments."""
+        if j > self.cap:
+            self._grow(j)
+        block = self.block
+        row0 = block[0]
+        for target, col in self.arrays:
+            row0[col:col + target.size] = target
+        first = self.first_scalar
+        row0[first:] = [d[key] for d, key in self.floats] + [
+            p.remaining for p in self.phases
+        ]
+        out = self.out
+        cap = self.cap
+        left = j
+        while True:
+            n = left if left < cap else cap
+            rows = 1 + n * self.width
+            np.add.accumulate(block[:rows], axis=0, out=out[:rows])
+            left -= n
+            if left == 0:
+                break
+            row0[:] = out[rows - 1]
+        last = out[rows - 1]
+        for target, col in self.arrays:
+            target[:] = last[col:col + target.size]
+        values = last[first:].tolist()
+        for (d, key), v in zip(self.floats, values):
+            d[key] = v
+        for phase, v in zip(self.phases, values[len(self.floats):]):
+            phase.remaining = v
+        for d, key, s in self.ints:
+            d[key] = d[key] + j * s
+        vecs, cells, chains = self.slow
+        if vecs or cells or chains:
+            for _ in range(j):
+                _replay_tick(vecs, cells, chains)
+
+
 class _Span:
     """One recorded steady tick driven by its pending-event queue."""
 
@@ -236,9 +424,15 @@ class _Span:
         self.m = machine
         self.rec = rec
         self.freq_expect = rec.freq_after
+        #: Set once a replayed tick moved a DVFS frequency.
+        self.ended = False
         # Flatten compute/overflow guard chains once.
         self.computes = list(rec.compute_guards.values())
         self.overflows = list(rec.overflow_guards.values())
+        self.vecs = [(e[0], e[1:]) for e in rec.vecs.values()]
+        self.cells = [(e[0], e[1], e[2:]) for e in rec.cells.values()]
+        self.chains = [(c[0], c[1:]) for c in self.computes]
+        self.block: _Block | None = None
         # Opaque predicates force per-tick polling for the whole span.
         polling = bool(rec.spin_guards)
         if not polling:
@@ -248,7 +442,7 @@ class _Span:
                     break
         self.polling = polling
 
-    # -- one replayed tick ---------------------------------------------------
+    # -- replay --------------------------------------------------------------
 
     def guards_hold(self) -> bool:
         """True if the next tick would repeat the recorded one exactly."""
@@ -296,33 +490,51 @@ class _Span:
                 return False  # next tick would cross and emit a sample
         return True
 
-    def apply_tick(self) -> bool:
-        """Replay the recorded tick; returns False if the span must end
-        afterwards (DVFS frequency moved for the next tick)."""
+    def leap(self, n: int) -> int:
+        """Replay ``n`` guard-free ticks; returns how many ran.
+
+        First the hardware recurrences step tick by tick through their
+        public per-tick methods (the tracer emits from them), stopping
+        after a tick that moves a DVFS frequency, which ends the span.
+        Then the ``j`` ticks that ran are applied to the recorded
+        targets.  The reordering is exact: nothing else runs inside a
+        leap, and the recurrences read none of the recorded targets.
+        """
         m = self.m
-        rec = self.rec
-        for op in rec.ops:
-            if op[0] == "v":
-                target = op[1]
-                target += op[2]
-            else:
-                _, d, key, inc = op
-                d[key] = d[key] + inc
-        for chain in self.computes:
-            phase = chain[0]
-            r = phase.remaining
-            for e in chain[1:]:
-                r = r - e
-            phase.remaining = r
-        sample, cluster_activity, other_w, cluster_util = rec.power_inputs
-        dt = m.clock.dt_s
+        sample, cluster_activity, other_w, cluster_util = self.rec.power_inputs
         m.last_power = sample
-        m.rapl.step(m.governor, sample.package_w, sample.cores_w, sample.dram_w, dt)
-        m.thermal.step(sample.package_w, dt)
-        m.thermal.apply_throttling(m.governor, cluster_activity, other_w, dt)
-        m.governor.update(cluster_util)
-        m.clock.advance()
-        return m.governor.freq_mhz == self.freq_expect
+        package_w = sample.package_w
+        cores_w = sample.cores_w
+        dram_w = sample.dram_w
+        rapl_step = m.rapl.step
+        thermal = m.thermal
+        thermal_step = thermal.step
+        throttle = thermal.apply_throttling
+        governor = m.governor
+        update = governor.update
+        clock = m.clock
+        advance = clock.advance
+        dt = clock.dt_s
+        expect = self.freq_expect
+        j = 0
+        while j < n:
+            j += 1
+            rapl_step(governor, package_w, cores_w, dram_w, dt)
+            thermal_step(package_w, dt)
+            throttle(governor, cluster_activity, other_w, dt)
+            update(cluster_util)
+            advance()
+            if governor.freq_mhz != expect:
+                self.ended = True
+                break
+        if j < _BULK_MIN:
+            for _ in range(j):
+                _replay_tick(self.vecs, self.cells, self.chains)
+        else:
+            if self.block is None:
+                self.block = _Block(self.vecs, self.cells, self.chains, j)
+            self.block.apply(j)
+        return j
 
     # -- the pending-event queue --------------------------------------------
 
@@ -330,11 +542,15 @@ class _Span:
         """Smallest j >= 0 with ``(ticks+j)*dt >= wake`` — the exact
         expression the wake guard evaluates (``now_s`` is ``ticks*dt``),
         so the returned tick index matches per-tick polling bit-for-bit.
+        Capped at ``_MAX_LEAP``.
         """
         clock = self.m.clock
         dt = clock.dt_s
         ticks0 = clock.ticks
-        j = int((wake - clock.now_s) / dt) - 2
+        j = (wake - clock.now_s) / dt
+        if j > _MAX_LEAP:
+            return _MAX_LEAP  # also an infinite deadline
+        j = int(j) - 2
         if j < 0:
             j = 0
         while (ticks0 + j) * dt < wake:
@@ -434,60 +650,54 @@ class _Span:
 
     def drive(self, left: int) -> int:
         """Replay up to ``left`` ticks; returns the ticks still owed."""
-        if self.polling:
-            while left > 0 and self.guards_hold():
-                left -= 1
-                if not self.apply_tick():
-                    break
-            return left
-        while left > 0:
-            k = self.horizon()
-            k = left if k is None else min(k, left)
-            if k <= 0:
+        while left > 0 and not self.ended:
+            k = 0 if self.polling else self.horizon()
+            if k is None or k > left:
+                k = left
+            elif k <= 0:
                 # Boundary region: step through it under full polling.
                 if not self.guards_hold():
-                    return left
-                left -= 1
-                if not self.apply_tick():
-                    return left
-                continue
-            while k > 0:
-                k -= 1
-                left -= 1
-                if not self.apply_tick():
-                    return left
+                    break
+                k = 1
+            left -= self.leap(k)
         return left
 
     def drive_until(self, cond, deadline: float) -> None:
-        """Replay while ``cond`` is false; the caller's condition is
-        opaque, so it is polled every tick even mid-leap."""
+        """Replay while the caller's opaque ``cond`` is false.  It is
+        polled before every tick, so the span leaps one tick at a time;
+        guards are polled only where the event queue says one may fire."""
         clock = self.m.clock
-        if self.polling:
-            while (
-                not cond()
-                and clock.now_s < deadline
-                and self.guards_hold()
-            ):
-                if not self.apply_tick():
+        free = 0  # guard-free ticks left before the next horizon
+        while not cond() and clock.now_s < deadline:
+            if free > 0:
+                free -= 1
+            else:
+                k = 0 if self.polling else self.horizon()
+                if k is None or k > 0:
+                    free = (_MAX_LEAP if k is None else k) - 1
+                elif not self.guards_hold():
                     return
-            return
-        while True:
-            k = self.horizon()
-            if k is not None and k <= 0:
-                if not self.guards_hold():
-                    return
-                if cond() or clock.now_s >= deadline:
-                    return
-                if not self.apply_tick():
-                    return
-                continue
-            n = _MAX_LEAP if k is None else k
-            while n > 0:
-                n -= 1
-                if cond() or clock.now_s >= deadline:
-                    return
-                if not self.apply_tick():
-                    return
+            self.leap(1)
+            if self.ended:
+                return
+
+
+class AllDone:
+    """``Machine.run_until_done``'s condition: every watched thread is done.
+
+    Unlike an opaque predicate it cannot change inside a span: a thread
+    retires only at a phase boundary, which kills the recorder.  The
+    event engine therefore checks it between spans and lets each span
+    leap straight to the deadline.
+    """
+
+    __slots__ = ("threads",)
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def __call__(self) -> bool:
+        return all(t.done for t in self.threads)
 
 
 class SchedCache:
@@ -636,6 +846,10 @@ class EventEngine:
     def run_until(self, cond, deadline: float) -> bool:
         m = self.m
         clock = m.clock
+        # ``run_until_done``'s condition holds still inside a span, so
+        # its spans leap to the deadline, solved on the tick grid like a
+        # wake time; an opaque condition is polled before every tick.
+        opaque = type(cond) is not AllDone
         record_ok = self._record_ok()
         backoff = 0
         penalty = 1
@@ -651,7 +865,11 @@ class EventEngine:
                         penalty *= 2
                     continue
                 penalty = 1
-                _Span(m, rec).drive_until(cond, deadline)
+                span = _Span(m, rec)
+                if opaque:
+                    span.drive_until(cond, deadline)
+                else:
+                    span.drive(span._wake_crossing(deadline))
             else:
                 m.tick()
                 if backoff > 0:

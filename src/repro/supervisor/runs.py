@@ -141,14 +141,15 @@ def hpl_run(params: dict, ctx: RunContext) -> dict:
 
     machine = system.machine
     payload = {"system": system, "handle": handle}
-    done = lambda: handle.done
     while not handle.done:
         if machine.now_s - handle.t0 > max_sim_s:
             # One strict tick raises the enriched SimTimeout (stuck
             # threads + core types + last checkpoint path).
-            machine.run_until(done, max_s=machine.clock.dt_s, strict=True)
+            machine.run_until_done(
+                handle.threads, max_s=machine.clock.dt_s, strict=True
+            )
             break
-        machine.run_until(done, max_s=slice_s)
+        machine.run_until_done(handle.threads, max_s=slice_s)
         if not handle.done:
             ctx.heartbeat(system)
             if ctx.should_preempt():

@@ -318,6 +318,115 @@ class TestMultiplexedBatching:
         assert real < 600
 
 
+class TestBulkReplay:
+    """A guard-free leap applies its ticks in bulk: one
+    ``np.add.accumulate`` over every float target, ``j * sum`` per int
+    cell.  These spans cover the block's layouts; each must stay
+    bit-identical to the single-tick reference."""
+
+    @staticmethod
+    def _bulk_leaps(monkeypatch):
+        """Record (leap length, ticks one block holds, width, int cells,
+        compute chains) for every bulk replay."""
+        from repro.sim import events
+
+        leaps = []
+        apply = events._Block.apply
+
+        def recorded(block, j):
+            per_block = events._BLOCK_FLOATS // (block.width * block.tick.shape[1])
+            leaps.append((j, per_block, block.width, len(block.ints), len(block.phases)))
+            apply(block, j)
+
+        monkeypatch.setattr(events._Block, "apply", recorded)
+        return leaps
+
+    @staticmethod
+    def _shared_cpu(system, instructions):
+        """Two compute threads time-sharing one P-core CPU: the scheduler
+        switches between them every tick (int ``nr_switches`` and
+        ``total_switches`` increments), and the CPU's PMU totals take two
+        vectors per tick."""
+        p_cpu = system.topology.cpus_of_type("P-core")[0]
+        return [
+            system.machine.spawn(
+                SimThread(
+                    f"share{i}",
+                    Program([ComputePhase(instructions, constant_rates(RATES))]),
+                    affinity={p_cpu},
+                )
+            )
+            for i in range(2)
+        ]
+
+    def test_multi_block_leap_with_multiplexed_hybrid_eventset(self, monkeypatch):
+        """Leaps longer than one accumulate block, under a multiplexed
+        hybrid EventSet whose uncore event counts both threads' slices:
+        two increments per tick on one float cell, the rest padded."""
+        from repro.validate.harness import _core_plans, _package_events
+
+        leaps = self._bulk_leaps(monkeypatch)
+
+        def build(system):
+            ts = self._shared_cpu(system, 2e8)
+            papi = Papi(system, mode="hybrid")
+            natives = [n for plan in _core_plans(system, papi.pfm) for n, _ in plan.events]
+            uncore = _package_events(papi.pfm, "uncore_llc")[0][0]
+            es = papi.create_eventset()
+            papi.attach(es, ts[0])
+            papi.set_multiplex(es)
+            for name in natives + natives + [uncore]:
+                papi.add_event(es, name)
+            papi.start(es)
+            assert system.machine.run_until_done(ts, max_s=10)
+            return papi.stop(es)
+
+        (ss, v_slow), (se, v_ev) = _run_matrix(build, dt_s=1e-5)
+        assert v_slow == v_ev
+        _assert_systems_identical(ss, se)
+        assert any(j > per_block and width == 2 for j, per_block, width, _, _ in leaps)
+
+    def test_int_cells_and_compute_chains_in_one_span(self, monkeypatch):
+        leaps = self._bulk_leaps(monkeypatch)
+
+        def build(system):
+            ts = self._shared_cpu(system, 5e7)
+            assert system.machine.run_until_done(ts, max_s=10)
+            return ts
+
+        (ss, ts_slow), (se, ts_ev) = _run_matrix(build, dt_s=1e-4)
+        _assert_threads_identical(ts_slow, ts_ev)
+        _assert_systems_identical(ss, se)
+        assert ts_ev[0].nr_switches > 50
+        assert any(ints == 3 and chains == 2 for _, _, _, ints, chains in leaps)
+
+    def test_strict_deadline_inside_a_leap(self, monkeypatch):
+        """``run_until_done`` solves its deadline on the tick grid: the
+        leap stops on the tick per-tick polling would stop on, and the
+        SimTimeout names the same threads."""
+        from repro.sim.engine import SimTimeout
+
+        leaps = self._bulk_leaps(monkeypatch)
+
+        def build(system):
+            t = system.machine.spawn(
+                SimThread("long", Program([ComputePhase(1e12, constant_rates(RATES))]))
+            )
+            try:
+                system.machine.run_until_done([t], max_s=0.3337, strict=True)
+            except SimTimeout as exc:
+                return exc, system.machine.clock.ticks
+            raise AssertionError("no SimTimeout")
+
+        (ss, (e_slow, n_slow)), (se, (e_ev, n_ev)) = _run_matrix(build, dt_s=0.001)
+        assert n_slow == n_ev == 334
+        assert max(j for j, _, _, _, _ in leaps) > 300  # one leap to the deadline
+        assert str(e_slow) == str(e_ev)
+        assert [t.name for t in e_slow.stuck] == [t.name for t in e_ev.stuck] == ["long"]
+        assert e_slow.stuck_details() == e_ev.stuck_details()
+        _assert_systems_identical(ss, se)
+
+
 class TestHplParity:
     def test_small_hpl_run_parity(self):
         from repro.hpl import HplConfig, run_hpl
