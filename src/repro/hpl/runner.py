@@ -54,20 +54,6 @@ class HplCoordinator:
             for s in steps
         ]
 
-    def claim(self, step: int) -> float:
-        """Take one dynamic chunk from the step's pool (0 when drained).
-
-        Kept for targeted tests; the HPL threads themselves claim through
-        a fused :class:`~repro.sim.workload.ChunkStream` (same arithmetic,
-        executed inside the engine's slice loop).
-        """
-        pool = self._pool[step]
-        if pool <= 0.0:
-            return 0.0
-        take = min(self._grain[step], pool)
-        self._pool[step] = pool - take
-        return take
-
     def arrive(self) -> None:
         self._arrived += 1
         if self._arrived >= self.n_threads:

@@ -287,57 +287,47 @@ class Papi:
             ct.pfm_pmu: ct.capacity * ct.max_freq_mhz for ct in topo.core_types
         }
 
-    def _add_preset(self, es: EventSet, name: str, caller) -> None:
+    def _preset_natives(self, name: str) -> list[EventInfo]:
+        """The native events preset ``name`` counts on this system: its
+        ``preset_csv`` definition if it has one, else the built-in table
+        mapped onto every default core PMU.  Raises :class:`PapiError`
+        when the preset resolves to nothing addable."""
         resolved = self._csv_presets.get(name)
         if resolved is not None:
-            infos = []
-            for native in resolved.natives:
-                try:
-                    infos.append(self.pfm.find_event(native))
-                except PfmError:
-                    continue
-            if not infos:
+            natives = list(resolved.natives)
+            missing = f"{name}: no CSV-defined native event is available"
+        else:
+            spec = PRESETS.get(name)
+            if spec is None:
+                raise PapiError(PapiErrorCode.ENOTPRESET, f"unknown preset {name!r}")
+            defaults = self.pfm.default_pmus()
+            if not defaults:
+                raise PapiError(PapiErrorCode.ENOCMP, "no core PMU detected")
+            if self.mode == "legacy" and len(defaults) > 1:
                 raise PapiError(
-                    PapiErrorCode.ENOEVNT,
-                    f"{name}: no CSV-defined native event is available",
+                    PapiErrorCode.EMISC,
+                    f"{name}: presets are ambiguous with {len(defaults)} default "
+                    "PMUs; unpatched PAPI cannot map presets on heterogeneous "
+                    "machines",
                 )
-            self._bind_component(es, self.perf_event)
-            slots = [self.perf_event.add_slot(es, info, caller) for info in infos]
-            es.entries.append(
-                EventEntry(
-                    name=name,
-                    is_preset=True,
-                    slot_indices=slots,
-                    derived="DERIVED_ADD" if len(slots) > 1 else "NOT_DERIVED",
-                )
-            )
-            return
-        spec = PRESETS.get(name)
-        if spec is None:
-            raise PapiError(PapiErrorCode.ENOTPRESET, f"unknown preset {name!r}")
-        defaults = self.pfm.default_pmus()
-        if not defaults:
-            raise PapiError(PapiErrorCode.ENOCMP, "no core PMU detected")
-        if self.mode == "legacy" and len(defaults) > 1:
-            raise PapiError(
-                PapiErrorCode.EMISC,
-                f"{name}: presets are ambiguous with {len(defaults)} default "
-                "PMUs; unpatched PAPI cannot map presets on heterogeneous "
-                "machines",
-            )
+            natives = [
+                f"{table.name}::{spec[pmu_family(table.name)]}"
+                for table in defaults
+                if pmu_family(table.name) in spec
+            ]
+            missing = f"{name} maps to no available native event"
         infos: list[EventInfo] = []
-        for table in defaults:
-            native = spec.get(pmu_family(table.name))
-            if native is None:
-                continue
+        for native in natives:
             try:
-                infos.append(self.pfm.find_event(f"{table.name}::{native}"))
+                infos.append(self.pfm.find_event(native))
             except PfmError:
                 continue
         if not infos:
-            raise PapiError(
-                PapiErrorCode.ENOEVNT, f"{name} maps to no available native event"
-            )
+            raise PapiError(PapiErrorCode.ENOEVNT, missing)
+        return infos
+
+    def _add_preset(self, es: EventSet, name: str, caller) -> None:
+        infos = self._preset_natives(name)
         self._bind_component(es, self.perf_event)
         slots = [self.perf_event.add_slot(es, info, caller) for info in infos]
         es.entries.append(
@@ -350,18 +340,16 @@ class Papi:
         )
 
     def query_event(self, name: str) -> bool:
-        """Whether ``name`` could be added on this system (PAPI_query_event)."""
+        """Whether ``name`` could be added on this system (PAPI_query_event).
+
+        Presets resolve exactly as :meth:`add_event` resolves them."""
         try:
             if name.startswith("PAPI_"):
-                spec = PRESETS.get(name)
-                if spec is None:
-                    return False
-                return any(
-                    pmu_family(t.name) in spec for t in self.pfm.default_pmus()
-                )
-            self.pfm.find_all_matches(name)
+                self._preset_natives(name)
+            else:
+                self.pfm.find_all_matches(name)
             return True
-        except (PfmError, ValueError):
+        except (PapiError, PfmError, ValueError):
             return False
 
     # -- counting -----------------------------------------------------------------

@@ -104,30 +104,19 @@ class SimTimeout(RuntimeError):
     def __init__(
         self,
         message: str,
-        stuck: Optional[list[SimThread]] = None,
-        checkpoint_path: Optional[str] = None,
-        details: Optional[list[dict]] = None,
+        stuck: list[SimThread],
+        checkpoint_path: Optional[str],
+        details: list[dict],
     ):
         super().__init__(message)
-        self.stuck = stuck if stuck is not None else []
+        self.stuck = stuck
         self.checkpoint_path = checkpoint_path
         self._details = details
 
     def stuck_details(self) -> list[dict]:
-        """JSON-able description of the stuck threads (for manifests)."""
-        if self._details is not None:
-            return self._details
-        return [
-            {
-                "name": t.name,
-                "tid": t.tid,
-                "state": t.state.value,
-                "cpu": t.cpu if t.cpu is not None else t.last_cpu,
-                "core_type": None,
-                "phase": getattr(t.current_phase, "label", None),
-            }
-            for t in self.stuck
-        ]
+        """JSON-able description of the stuck threads (for manifests),
+        one :meth:`Machine._stuck_detail` entry per thread."""
+        return self._details
 
 
 @snapshot_surface(
@@ -735,9 +724,9 @@ class Machine:
         zero here and patched from accumulated seconds at flush time.
         """
         key = (id(ct), id(rates))
-        vec = self._rate_vecs_by_id.get(key)
-        if vec is not None:
-            return vec
+        entry = self._rate_vecs_by_id.get(key)
+        if entry is not None:
+            return entry[0]
         vkey = (
             id(ct),
             rates.ipc,
@@ -749,18 +738,17 @@ class Machine:
             rates.branches_per_instr,
             rates.branch_miss_rate,
         )
-        entry = self._rate_vecs_by_value.get(vkey)
-        if entry is None:
+        vec = self._rate_vecs_by_value.get(vkey)
+        if vec is None:
             # Shared with the validation oracle: sim.workload owns the
             # PhaseRates -> event-vector translation.
-            v = arch_event_rates(ct, rates)
-            # Pin ct and rates so the id() keys cannot be recycled.
-            entry = (v, ct, rates)
-            self._rate_vecs_by_value[vkey] = entry
+            vec = self._rate_vecs_by_value[vkey] = arch_event_rates(ct, rates)
         if len(self._rate_vecs_by_id) >= _RATE_VEC_ID_CACHE_CAP:
             self._rate_vecs_by_id.clear()
-        self._rate_vecs_by_id[key] = entry[0]
-        return entry[0]
+        # The entry pins ct and rates: while it lives, no other object
+        # can take over their id() and be answered with this vector.
+        self._rate_vecs_by_id[key] = (vec, ct, rates)
+        return vec
 
     # -- convenience runners ---------------------------------------------------
 

@@ -1,14 +1,14 @@
 """The fault-tolerant sweep supervisor.
 
 See :mod:`repro.supervisor.supervisor` for the :class:`Supervisor` that
-drives a sweep, :mod:`repro.supervisor.queue` for durable admission,
-:mod:`repro.supervisor.pool` for the concurrent worker pool (liveness,
-migration, drain), :mod:`repro.supervisor.journal` for the crash-safe
-append-only journal, :mod:`repro.supervisor.cache` for the deterministic
-result cache, :mod:`repro.supervisor.worker` for the worker process
-each attempt is forked into (and its by-hand ``--spec`` entry), and
-:mod:`repro.supervisor.manifest` for run records and the materialized
-sweep view.
+drives a sweep, :mod:`repro.supervisor.queue` for the plan that decides
+every run's fate, :mod:`repro.supervisor.pool` for the concurrent
+worker pool (liveness, retries, drain), :mod:`repro.supervisor.journal`
+for the crash-safe append-only journal, :mod:`repro.supervisor.cache`
+for the deterministic result cache, :mod:`repro.supervisor.worker` for
+the worker process each attempt is forked into (and its by-hand
+``--spec`` entry), and :mod:`repro.supervisor.manifest` for run records
+and the materialized sweep view.
 """
 
 from repro.supervisor.cache import ResultCache, code_version, spec_digest
@@ -34,14 +34,7 @@ from repro.supervisor.manifest import (
     RunRecord,
 )
 from repro.supervisor.pool import WorkerPool, backoff_delay, default_worker_count
-from repro.supervisor.queue import (
-    ADMITTED,
-    CACHED,
-    DUPLICATE,
-    REJECTED,
-    AdmissionQueue,
-    RunSpec,
-)
+from repro.supervisor.queue import FATES, PlannedRun, RunSpec
 from repro.supervisor.runs import RUN_KINDS, Preempted, RunContext
 from repro.supervisor.supervisor import Supervisor
 
@@ -54,11 +47,7 @@ __all__ = [
     "LIVE",
     "SLOW",
     "STUCK",
-    "ADMITTED",
-    "CACHED",
-    "DUPLICATE",
-    "REJECTED",
-    "AdmissionQueue",
+    "FATES",
     "Manifest",
     "RunRecord",
     "RUN_KINDS",
@@ -69,6 +58,7 @@ __all__ = [
     "Journal",
     "JournalError",
     "JournalState",
+    "PlannedRun",
     "Preempted",
     "ResultCache",
     "backoff_delay",

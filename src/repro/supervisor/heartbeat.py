@@ -5,16 +5,17 @@ the same cadence as its checkpoint checks (once per simulation slice):
 its pid, attempt number, and — critically — the current **simulated**
 time.  The pool's liveness monitor folds that into three verdicts:
 
-* **dead** — the process is gone (``poll()`` returned); no heartbeat
+* **dead** — the process is gone (``os.waitpid`` reaped it); no heartbeat
   needed to see it.
 * **stuck** — the process is alive but simulated time has not advanced
   for ``stuck_after_s`` of wall time: a wedged run (infinite spin, lost
-  wakeup) that will never finish.  Killed and *migrated* to another
-  worker slot from its last checkpoint.
+  wakeup) that will never finish.
 * **slow** — simulated time is advancing but the attempt blew past its
   wall-clock deadline: the run is healthy but too big for the budget.
-  Killed and retried (the retry resumes from the latest checkpoint, so
-  the paid-for progress is kept).
+
+Stuck and slow workers are killed and retried alike: the retry resumes
+from the latest checkpoint, so the paid-for progress is kept.  The
+verdict names why the attempt died in the journal and the metrics.
 
 Heartbeats are advisory (atomic replace, no fsync): losing one delays a
 verdict by a poll interval, it never corrupts state.

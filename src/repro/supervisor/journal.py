@@ -19,9 +19,11 @@ Recovery rules (exercised by ``tests/test_supervisor_journal.py``):
   :class:`JournalError`;
 * a header version this code does not speak → :class:`JournalError`
   (version 1 journals, which could carry ``cancel`` events and
-  state-bearing ``add`` events, are refused, not migrated);
+  state-bearing ``add`` events, are refused, not converted);
 * an event naming a run that was never added → :class:`JournalError`
-  (never a silent skip).
+  (never a silent skip);
+* a field of a known event that replay does not read is ignored, so a
+  version 2 journal written before a field was retired still replays.
 """
 
 from __future__ import annotations
@@ -234,7 +236,6 @@ class Journal:
         elif etype == "launch":
             record.status = RUNNING
             record.attempts = int(event["attempt"])
-            record.last_slot = event.get("slot")
             record.last_pid = event.get("pid")
             record.checkpoint_path = event.get("resume_from")
         elif etype == "exit":
@@ -245,8 +246,6 @@ class Journal:
                 record.checkpoint_path = event["checkpoint_path"]
         elif etype == "retry":
             record.status = PENDING
-            if event.get("migrated"):
-                record.migrations += 1
         elif etype == "preempted":
             record.status = PENDING
             record.last_pid = None

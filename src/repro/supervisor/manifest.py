@@ -68,10 +68,6 @@ class RunRecord:
     stuck: list = field(default_factory=list)
     #: True when the result came from the deterministic result cache.
     cached: bool = False
-    #: Times this run was killed as stuck/dead and moved to another slot.
-    migrations: int = 0
-    #: Pool slot of the latest attempt (migrations avoid re-using it).
-    last_slot: Optional[int] = None
     #: Worker pid of the latest launch, cleared when the attempt ends.
     #: After a journal replay, a RUNNING record's last_pid names the
     #: (possibly orphaned) worker process group a resuming supervisor
@@ -90,8 +86,6 @@ class RunRecord:
             "last_error": self.last_error,
             "stuck": self.stuck,
             "cached": self.cached,
-            "migrations": self.migrations,
-            "last_slot": self.last_slot,
             "last_pid": self.last_pid,
         }
 

@@ -1,4 +1,4 @@
-"""The concurrent worker pool: N forked workers, liveness, migration.
+"""The concurrent worker pool: N forked workers, liveness, drain.
 
 This is the fleet engine under :class:`~repro.supervisor.supervisor.
 Supervisor`.  It admits pending runs into up to ``workers`` slots, each
@@ -12,11 +12,14 @@ job three ways:
 * ``os.waitpid`` — **dead** workers are reaped and classified by exit
   code (negative: killed by that signal);
 * heartbeats — a worker whose **simulated** time stops advancing for
-  ``stuck_after_s`` of wall time is **stuck**: killed (whole group) and
-  *migrated* — requeued on a different slot, resuming from its last
-  checkpoint with its attempt/backoff state carried over;
+  ``stuck_after_s`` of wall time is **stuck**;
 * the wall deadline — a worker that is progressing but past
-  ``wall_timeout_s`` is **slow**: killed and retried from checkpoint.
+  ``wall_timeout_s`` is **slow**.
+
+Stuck and slow workers are killed (the whole group) and retried like a
+crashed attempt: from the last checkpoint, with the attempt and backoff
+state carried over.  Every slot is the same forked process on the same
+host, so a slot number is only a label in the journal.
 
 Retries are scheduled, not slept: each failed attempt computes a
 deterministic backoff (exponential base with seedable jitter, see
@@ -208,7 +211,7 @@ class WorkerPool:
         if not self._draining:
             while self._free_slots and self._queue and self._queue[0][0] <= now:
                 _, _, record = heapq.heappop(self._queue)
-                slot = self._pick_slot(self._free_slots, record)
+                slot = min(self._free_slots)
                 self._free_slots.remove(slot)
                 self._jobs[slot] = self._launch(record, slot, now)
         self.metrics.gauge("fleet.queue_depth", value=float(self.queue_depth))
@@ -234,15 +237,7 @@ class WorkerPool:
             self._drive_drain(self._jobs, now)
         return self.busy
 
-    # -- admission -----------------------------------------------------------
-
-    def _pick_slot(self, free_slots: list[int], record: RunRecord) -> int:
-        """Prefer a slot the run has not just failed on (migration)."""
-        free_slots.sort()
-        for slot in free_slots:
-            if slot != record.last_slot:
-                return slot
-        return free_slots[0]
+    # -- launch --------------------------------------------------------------
 
     def _launch(self, record: RunRecord, slot: int, now: float) -> _Job:
         run_dir = os.path.join(self.out_dir, record.run_id)
@@ -252,7 +247,6 @@ class WorkerPool:
 
         record.attempts += 1
         record.status = RUNNING
-        record.last_slot = slot
         record.checkpoint_path = resume_from
 
         # A stale heartbeat from the previous attempt must not feed the
@@ -458,10 +452,10 @@ class WorkerPool:
         if permanent:
             self._fail(record)
             return
-        self._retry_or_fail(record, now, migrated=False)
+        self._retry_or_fail(record, now)
 
     def _finish_killed(self, job: _Job, verdict: str, now: float) -> None:
-        """A liveness kill: STUCK migrates, SLOW plain-retries."""
+        """A liveness kill (STUCK or SLOW), retried like a crash."""
         record = job.record
         record.last_pid = None
         checkpoint = os.path.join(job.run_dir, "checkpoint.snap")
@@ -503,11 +497,9 @@ class WorkerPool:
             }
         )
         self.log(f"[fleet] {record.run_id}: {verdict}: {message}")
-        self._retry_or_fail(record, now, migrated=(verdict == STUCK))
+        self._retry_or_fail(record, now)
 
-    def _retry_or_fail(
-        self, record: RunRecord, now: float, migrated: bool
-    ) -> None:
+    def _retry_or_fail(self, record: RunRecord, now: float) -> None:
         if record.attempts >= self.max_attempts:
             self._fail(record)
             self.log(
@@ -518,16 +510,10 @@ class WorkerPool:
         delay = backoff_delay(
             self.backoff_s, record.attempts, record.run_id, self.jitter_seed
         )
-        if migrated:
-            record.migrations += 1
-            self.metrics.counter("fleet.migration")
-            self.log(
-                f"[fleet] {record.run_id}: migrating off slot "
-                f"{record.last_slot} (retry in {delay:.2f}s from "
-                f"{record.checkpoint_path or 'scratch'})"
-            )
-        elif delay > 0:
-            self.log(f"[fleet] {record.run_id}: retrying in {delay:.2f}s")
+        self.log(
+            f"[fleet] {record.run_id}: retrying in {delay:.2f}s from "
+            f"{record.checkpoint_path or 'scratch'}"
+        )
         record.status = PENDING
         self.journal.append(
             {
@@ -535,8 +521,6 @@ class WorkerPool:
                 "run_id": record.run_id,
                 "next_attempt": record.attempts + 1,
                 "delay_s": delay,
-                "migrated": migrated,
-                "from_slot": record.last_slot,
             }
         )
         self.metrics.counter("fleet.retry")

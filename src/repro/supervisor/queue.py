@@ -1,199 +1,167 @@
-"""Durable admission: idempotent and batch-journaled.
+"""The sweep plan: one decision for the fate of every run.
 
-Every run enters a sweep through :class:`AdmissionQueue.admit`, which
-gives the supervisor its admission guarantees:
+:func:`plan_runs` is the only place that decides what a sweep does to a
+run.  It reads the replayed journal records, the submitted specs, the
+result cache and the attempt budget, touches nothing, and returns one
+:class:`PlannedRun` per run — the journaled runs first, in journal
+order, then the new submissions in submission order.  A fate is one of:
 
-* **idempotent by spec digest** — the canonical digest of ``(kind,
-  params)`` (see :func:`repro.supervisor.cache.spec_digest`) indexes
-  every known run.  Resubmitting a spec that is already known — done,
-  in flight or queued, under any run id — returns the *existing* run id
-  with zero new work.
-* **no silent conflicts** — a spec whose run id already names a
-  *different* spec (say, a ``--resume`` with changed parameters) is
-  rejected with a reason, never answered with the old run's result.
-* **amortized durability** — one admission batch appends all of its
-  journal events through a single :meth:`~repro.supervisor.journal.
-  Journal.append_many` (one fsync per *batch*, not per run), which is
-  what keeps 10^4-spec admission cheap.  The fsync lands before the
-  batch is enqueued, so every admitted run is recoverable by replay.
+* ``admit`` — a new run, journaled ``add`` and queued;
+* ``skip`` — already done, or finished from the result cache with zero
+  launches (a new run is then journaled ``add`` + ``done`` in one batch);
+* ``resume`` — an unfinished run, relaunched from its checkpoint after
+  the worker a dead supervisor left running (``orphan_pid``) is reaped;
+* ``requeue`` — a failed run, journaled ``requeue`` with a fresh attempt
+  budget;
+* ``fail`` — an unfinished run whose attempt budget is already spent;
+* ``reject`` — the run id already names a different spec.
 
-A cache hit at admission is journaled ``add`` + ``done`` in the same
-batch and never reaches the worker pool — zero launches.
+:meth:`~repro.supervisor.supervisor.Supervisor.run` executes the plan
+and ``tools/sweep.py --dry-run`` prints it, so the preview is what the
+sweep does.  Submitting a run id the sweep already knows with the same
+spec is a no-op.  A journaled run that was not resubmitted keeps its
+fate; a done run whose resubmission is rejected is listed once, as the
+rejection.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.supervisor.cache import ResultCache, spec_digest
-from repro.supervisor.journal import Journal
-from repro.supervisor.manifest import (
-    DONE,
-    PENDING,
-    RunRecord,
-    atomic_write_json,
-)
-from repro.trace.tracer import MetricsRegistry
+from repro.supervisor.manifest import DONE, FAILED, RUNNING, RunRecord
 
-#: Admission dispositions (the ``disposition`` field of every verdict).
-ADMITTED = "admitted"        #: new run, queued for execution
-CACHED = "cached"            #: new run, served from the result cache
-DUPLICATE = "duplicate"      #: spec already known (done / running / queued)
-REJECTED = "rejected"        #: run id names a different spec — NOT admitted
+ADMIT = "admit"
+SKIP = "skip"
+RESUME = "resume"
+REQUEUE = "requeue"
+FAIL = "fail"
+REJECT = "reject"
+#: Every fate, in the order ``--dry-run`` summarizes them.
+FATES = (ADMIT, SKIP, RESUME, REQUEUE, FAIL, REJECT)
 
 
 @dataclass
 class RunSpec:
-    """One run the caller wants executed.
-
-    ``run_id`` may be empty: admission derives a stable id from the
-    spec digest (``<kind>-<digest12>``), so anonymous submissions of
-    the same spec always converge on the same run.
-    """
+    """One run the caller wants executed, under a name it chooses."""
 
     run_id: str
     kind: str
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not self.run_id:
+            raise ValueError(f"a {self.kind!r} RunSpec needs a run id")
+
 
 @dataclass
-class Admission:
-    """The per-spec admission verdict."""
+class PlannedRun:
+    """The fate of one run, and why."""
 
     run_id: str
-    disposition: str
-    status: str
-    reason: Optional[str] = None
+    fate: str
+    reason: str
+    kind: str
+    params: dict
+    #: The replayed record of a journaled run; None for a new submission.
+    record: Optional[RunRecord] = None
+    #: The cached result that finishes the run without a launch.
+    cached: Optional[dict] = None
+    #: Worker pid a dead supervisor left running: reaped before anything
+    #: else, because it still writes into the run directory.
+    orphan_pid: Optional[int] = None
 
 
-def id_conflict(existing: RunRecord, spec: RunSpec) -> Optional[str]:
-    """Why ``spec`` may not be admitted under ``existing``'s run id, or
-    None when both name the same spec."""
-    if spec_digest(existing.kind, existing.params) == spec_digest(
-        spec.kind, spec.params
-    ):
-        return None
-    return f"run id {existing.run_id!r} already names a different spec"
-
-
-class AdmissionQueue:
-    """The sweep's admission control; see the module docstring.
-
-    Owns the digest index over ``records`` (the shared materialized
-    run-state dict) and the journal-write half of admission.  It does
-    *not* own scheduling: admitted records are handed back for the pool
-    to enqueue.
-    """
-
-    def __init__(
-        self,
-        out_dir: str,
-        journal: Journal,
-        records: dict[str, RunRecord],
-        metrics: MetricsRegistry,
-        cache: Optional[ResultCache] = None,
-    ):
-        self.out_dir = out_dir
-        self.journal = journal
-        self.records = records
-        self.metrics = metrics
-        self.cache = cache
-        self._by_digest: dict[str, str] = {}
-        for record in records.values():
-            self._by_digest[spec_digest(record.kind, record.params)] = (
-                record.run_id
+def plan_runs(
+    records: dict[str, RunRecord],
+    specs: list[RunSpec],
+    cache: Optional[ResultCache],
+    max_attempts: int,
+) -> list[PlannedRun]:
+    """Decide the fate of every journaled and submitted run; see the
+    module docstring.  Reads the cache, changes nothing."""
+    submitted = {spec.run_id for spec in specs}
+    recovered = {
+        run_id: _recovered(record, cache, max_attempts, run_id in submitted)
+        for run_id, record in records.items()
+    }
+    new: dict[str, PlannedRun] = {}
+    rejected: list[PlannedRun] = []
+    for spec in specs:
+        known = records.get(spec.run_id) or new.get(spec.run_id)
+        if known is None:
+            hit = _lookup(cache, spec.kind, spec.params)
+            new[spec.run_id] = PlannedRun(
+                spec.run_id,
+                ADMIT if hit is None else SKIP,
+                "new run" if hit is None else "new run, served from the result cache",
+                spec.kind,
+                spec.params,
+                cached=hit,
             )
-
-    def admit(self, specs: list[RunSpec]) -> tuple[list[Admission], list[RunRecord]]:
-        """Admit a batch; returns (verdicts, records to enqueue).
-
-        All journal events for the batch are appended with one fsync
-        *before* returning, so everything admitted here is durable.  The
-        returned enqueue list holds the newly-admitted records the
-        caller must hand to the pool (after this method returns —
-        journal-before-act).
-        """
-        verdicts: list[Admission] = []
-        to_enqueue: list[RunRecord] = []
-        events: list[dict] = []
-
-        for spec in specs:
-            digest = spec_digest(spec.kind, spec.params)
-            run_id = spec.run_id or f"{spec.kind}-{digest[:12]}"
-
-            existing = self.records.get(run_id)
-            if existing is not None:
-                reason = id_conflict(existing, spec)
-                if reason is not None:
-                    verdicts.append(
-                        Admission(run_id, REJECTED, existing.status, reason=reason)
-                    )
-                    self.metrics.counter("fleet.admission_rejected", key="conflict")
-                    continue
-            elif digest in self._by_digest:
-                # Same spec under another id: idempotency wins, the
-                # submitter gets the id that already owns the work.
-                run_id = self._by_digest[digest]
-                existing = self.records[run_id]
-
-            if existing is not None:
-                # done / running / pending: nothing to do.  Zero
-                # launches, zero journal bytes.
-                verdicts.append(Admission(run_id, DUPLICATE, existing.status))
-                self.metrics.counter("fleet.admission_dedup")
-                continue
-
-            record = RunRecord(run_id=run_id, kind=spec.kind, params=spec.params)
-            self.records[run_id] = record
-            self._by_digest[digest] = run_id
-            events.append(
-                {
-                    "type": "add",
-                    "run_id": run_id,
-                    "kind": spec.kind,
-                    "params": spec.params,
-                }
+        elif spec_digest(known.kind, known.params) != spec_digest(
+            spec.kind, spec.params
+        ):
+            rejected.append(
+                PlannedRun(
+                    spec.run_id,
+                    REJECT,
+                    f"run id {spec.run_id!r} already names a different spec",
+                    spec.kind,
+                    spec.params,
+                )
             )
+            record = records.get(spec.run_id)
+            if record is not None and record.status == DONE:
+                # Nothing happens to a done run: the rejection is the news.
+                recovered.pop(spec.run_id, None)
+    return [*recovered.values(), *new.values(), *rejected]
 
-            done = self.serve_from_cache(record)
-            if done is not None:
-                events.append(done)
-                verdicts.append(Admission(run_id, CACHED, DONE))
-            else:
-                to_enqueue.append(record)
-                verdicts.append(Admission(run_id, ADMITTED, PENDING))
-            self.metrics.counter("fleet.admission_total")
 
-        # ONE fsync for the whole batch — the amortized-durability point.
-        self.journal.append_many(events)
-        self.metrics.counter("fleet.admission_batch")
-        self.metrics.observe("fleet.admission_batch_size", value=float(len(specs)))
-        return verdicts, to_enqueue
+def _lookup(cache: Optional[ResultCache], kind: str, params: dict) -> Optional[dict]:
+    return cache.get(kind, params) if cache is not None else None
 
-    def serve_from_cache(self, record: RunRecord) -> Optional[dict]:
-        """Finish ``record`` from the result cache, if it holds the spec.
 
-        Writes the cached result into the run directory, marks the
-        record done and returns the ``done`` event for the caller to
-        journal; None on a miss (or without a cache)."""
-        hit = self.cache.get(record.kind, record.params) if self.cache else None
-        if hit is None:
-            return None
-        run_dir = os.path.join(self.out_dir, record.run_id)
-        os.makedirs(run_dir, exist_ok=True)
-        result_path = os.path.join(run_dir, "result.json")
-        atomic_write_json(result_path, hit)
-        record.status = DONE
-        record.result_path = result_path
-        record.cached = True
-        record.last_error = None
-        self.metrics.counter("fleet.cache_hit")
-        return {
-            "type": "done",
-            "run_id": record.run_id,
-            "attempt": record.attempts,
-            "result_path": result_path,
-            "cached": True,
-        }
+def _recovered(
+    record: RunRecord,
+    cache: Optional[ResultCache],
+    max_attempts: int,
+    resubmitted: bool,
+) -> PlannedRun:
+    """The fate of one journaled run."""
+    orphan = record.last_pid if record.status == RUNNING else None
+    hit = None if record.status == DONE else _lookup(cache, record.kind, record.params)
+    if record.status == DONE:
+        fate = SKIP
+        reason = "already done" + (" (cached)" if record.cached else "")
+    elif record.status == FAILED:
+        fate = REQUEUE
+        reason = f"failed after {record.attempts} attempt(s); fresh attempt budget"
+        if hit is not None:
+            reason += "; served from the result cache"
+    elif hit is not None:
+        fate, reason = SKIP, "served from the result cache"
+    elif record.attempts >= max_attempts:
+        fate = FAIL
+        reason = f"attempt budget already spent ({record.attempts}/{max_attempts})"
+    else:
+        fate = RESUME
+        reason = (
+            f"{record.status}, attempt {record.attempts}, "
+            f"checkpoint {record.checkpoint_path or 'none'}"
+        )
+    if orphan:
+        reason += f"; reap orphaned worker {orphan}"
+    if not resubmitted:
+        reason += "; not resubmitted"
+    return PlannedRun(
+        record.run_id,
+        fate,
+        reason,
+        record.kind,
+        record.params,
+        record=record,
+        cached=hit,
+        orphan_pid=orphan,
+    )

@@ -200,15 +200,15 @@ def _maybe_crash(params: dict, ctx: RunContext, elapsed_sim_s: float) -> None:
 def _maybe_stall(
     params: dict, ctx: RunContext, system: System, elapsed_sim_s: float
 ) -> None:
-    """Deterministic wedge for liveness/migration tests and CI.
+    """Deterministic wedge for liveness tests and CI.
 
     ``stall_at_s`` names a *simulated* time; ``stall_on_attempts`` the
     attempt numbers that wedge there.  The worker stays alive and keeps
     heartbeating, but simulated time stops advancing — exactly the
-    signature the pool's stuck detector must catch and migrate.  Keyed
-    to sim time (and placed after the checkpoint cadence check) so the
-    migrated retry resumes from a checkpoint at or before the stall
-    point and converges on the bit-identical calm-run result.
+    signature the pool's stuck detector must catch, kill and retry.
+    Keyed to sim time (and placed after the checkpoint cadence check) so
+    the retry resumes from a checkpoint at or before the stall point and
+    converges on the bit-identical calm-run result.
     """
     stall_at = params.get("stall_at_s")
     if stall_at is None:

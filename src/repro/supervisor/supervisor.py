@@ -1,19 +1,17 @@
 """The sweep supervisor: the one path that drives measurement runs.
 
 :class:`Supervisor` owns a sweep directory end to end.  ``run()``
-recovers durable state (journal replay, orphan reaping, failed runs
-requeued with a fresh budget), admits the submitted specs through the
-durable :class:`~repro.supervisor.queue.AdmissionQueue` — idempotent by
-spec digest, one fsync per batch — steps the
-:class:`~repro.supervisor.pool.WorkerPool` until idle, and seals the
-journal.  What it guarantees:
+recovers durable state (journal replay), decides the fate of every run
+with :func:`~repro.supervisor.queue.plan_runs` — the same plan
+:meth:`Supervisor.plan` previews for ``tools/sweep.py --dry-run`` —
+executes it, steps the :class:`~repro.supervisor.pool.WorkerPool` until
+idle, and seals the journal.  What it guarantees:
 
 * **worker crashes** — crash-isolated worker process per attempt,
   forked from this already-imported process (so a ``Supervisor`` must
   be driven from a single-threaded program), checkpointed retries with
   deterministic backoff (seedable jitter, injectable clock/sleep);
-* **wedged workers** — heartbeat liveness, process-group kills, slot
-  migration;
+* **wedged workers** — heartbeat liveness and process-group kills;
 * **supervisor death** — every transition journaled before acted on;
   SIGKILL + ``resume=True`` reaps the worker groups the dead supervisor
   left running, reconstructs the exact pending/in-flight/done sets and
@@ -36,18 +34,25 @@ import time
 from typing import Callable, Optional
 
 from repro.supervisor.cache import ResultCache
-from repro.supervisor.journal import Journal
+from repro.supervisor.journal import Journal, JournalState
 from repro.supervisor.manifest import (
     DONE,
     FAILED,
     PENDING,
-    RUNNING,
     Manifest,
     RunRecord,
     atomic_write_json,
 )
 from repro.supervisor.pool import WorkerPool, default_worker_count
-from repro.supervisor.queue import REJECTED, Admission, AdmissionQueue, RunSpec
+from repro.supervisor.queue import (
+    FAIL,
+    REJECT,
+    REQUEUE,
+    RESUME,
+    PlannedRun,
+    RunSpec,
+    plan_runs,
+)
 from repro.trace.tracer import MetricsRegistry
 
 __all__ = ["RunSpec", "Supervisor"]
@@ -103,9 +108,8 @@ class Supervisor:
         )
         self.records: dict[str, RunRecord] = {}
         self.cache: Optional[ResultCache] = None
-        self.admission: Optional[AdmissionQueue] = None
-        #: Verdicts of the specs :meth:`run` refused, each with a reason.
-        self.rejected: list[Admission] = []
+        #: The specs :meth:`run` refused, each with a reason.
+        self.rejected: list[PlannedRun] = []
         self._started = False
 
     # -- the sweep -----------------------------------------------------------
@@ -116,13 +120,23 @@ class Supervisor:
         if self._started:
             raise RuntimeError("Supervisor.run() called twice")
         self._started = True
-        self._open(resume)
+        os.makedirs(self.out_dir, exist_ok=True)
+        state = self._replay(resume)
+        if state is None:
+            self.journal.open_fresh(meta=self._meta())
+        else:
+            self.journal.open_append(
+                truncate_to=state.valid_bytes if state.torn_tail else None
+            )
+            self.records = state.records
+        self.cache = ResultCache(self.cache_dir) if self.cache_dir else None
+        self.manifest = Manifest(self.manifest_path, meta=self._meta())
+        self.manifest.runs = self.records
         try:
-            verdicts, to_enqueue = self.admission.admit(runs)
-            self.pool.enqueue(to_enqueue)
-            self.rejected = [v for v in verdicts if v.disposition == REJECTED]
-            for verdict in self.rejected:
-                self.log(f"[supervisor] {verdict.run_id}: rejected: {verdict.reason}")
+            plan = plan_runs(self.records, runs, self.cache, self.max_attempts)
+            self._recover(plan)
+            self.manifest.save()
+            self._admit(plan)
             while self.pool.step():
                 self.sleep(POLL_INTERVAL_S)
         finally:
@@ -130,6 +144,13 @@ class Supervisor:
         verb = "drained" if self.drained else "complete"
         self.log(f"[supervisor] sweep {verb}: {manifest.summary()}")
         return manifest
+
+    def plan(self, runs: list[RunSpec], resume: bool = False) -> list[PlannedRun]:
+        """What :meth:`run` would do to every run, touching nothing."""
+        state = self._replay(resume)
+        cache = ResultCache(self.cache_dir) if self.cache_dir else None
+        records = state.records if state is not None else {}
+        return plan_runs(records, runs, cache, self.max_attempts)
 
     def request_drain(self) -> None:
         """Graceful shutdown: stop admitting runs, checkpoint in-flight
@@ -150,26 +171,46 @@ class Supervisor:
             "workers": self.workers,
         }
 
-    def _open(self, resume: bool) -> None:
-        """Recover durable state and requeue every unfinished run.
+    def _replay(self, resume: bool) -> Optional[JournalState]:
+        """The journal state to resume from, or None for a fresh start.
+        Reads the journal, writes nothing."""
+        if not resume:
+            return None
+        if not os.path.exists(self.journal_path):
+            self.log(
+                f"[supervisor] no journal at {self.journal_path}; starting fresh"
+            )
+            return None
+        if os.path.getsize(self.journal_path) == 0:
+            # Killed between creating the journal and fsyncing its
+            # header: nothing was ever durably recorded, so a fresh
+            # start is the correct (and only possible) resume.
+            self.log(
+                f"[supervisor] journal {self.journal_path} is empty "
+                "(crash before the header was written); starting fresh"
+            )
+            return None
+        state = Journal.replay(self.journal_path)
+        if state.torn_tail:
+            self.log(
+                "[supervisor] journal ended in a torn line "
+                "(crash debris); dropped it and resuming"
+            )
+        return state
 
-        ``resume=True`` replays an existing journal, reaps orphaned
-        worker groups, gives failed runs a fresh attempt budget and
-        re-enqueues every run that is not done."""
-        os.makedirs(self.out_dir, exist_ok=True)
-        self.records = self._recover(resume)
-        self.cache = ResultCache(self.cache_dir) if self.cache_dir else None
-        self.admission = AdmissionQueue(
-            self.out_dir, self.journal, self.records, self.metrics, cache=self.cache
-        )
-        self._reap_orphans()
-
+    def _recover(self, plan: list[PlannedRun]) -> None:
+        """Carry out the plan for the journaled runs, journaling each
+        step before acting on it: reap orphans, requeue failed runs, then
+        serve, fail or queue every run that is not done."""
+        self._reap([entry.orphan_pid for entry in plan if entry.orphan_pid])
         done = sum(1 for r in self.records.values() if r.status == DONE)
         if done:
             self.log(f"[supervisor] resume: {done} run(s) already done, skipped")
+
+        recovered = [(e, e.record) for e in plan if e.record is not None]
         requeues = []
-        for record in self.records.values():
-            if record.status == FAILED:
+        for entry, record in recovered:
+            if entry.fate == REQUEUE:
                 record.status = PENDING
                 record.attempts = 0
                 record.last_error = None
@@ -178,80 +219,13 @@ class Supervisor:
                 )
         if requeues:
             self.journal.append_many(requeues)
-        self._dispatch([r for r in self.records.values() if r.status != DONE])
 
-        # Materialize the view once recovery settled.
-        self.manifest = Manifest(self.manifest_path, meta=self._meta())
-        self.manifest.runs = self.records
-        self.manifest.save()
-
-    def _recover(self, resume: bool) -> dict[str, RunRecord]:
-        """Journal replay or a fresh start.  Leaves the journal open for
-        appending."""
-        exists = os.path.exists(self.journal_path)
-        if resume and exists and os.path.getsize(self.journal_path) == 0:
-            # Killed between creating the journal and fsyncing its
-            # header: nothing was ever durably recorded, so a fresh
-            # start is the correct (and only possible) resume.
-            self.log(
-                f"[supervisor] journal {self.journal_path} is empty "
-                "(crash before the header was written); starting fresh"
-            )
-        elif resume and exists:
-            state = Journal.replay(self.journal_path)
-            if state.torn_tail:
-                self.log(
-                    "[supervisor] journal ended in a torn line "
-                    "(crash debris); dropped it and resuming"
-                )
-            self.journal.open_append(
-                truncate_to=state.valid_bytes if state.torn_tail else None
-            )
-            return state.records
-        elif resume:
-            self.log(
-                f"[supervisor] no journal at {self.journal_path}; starting fresh"
-            )
-        self.journal.open_fresh(meta=self._meta())
-        return {}
-
-    def _reap_orphans(self) -> int:
-        """SIGKILL worker process groups a dead supervisor left running.
-
-        After replay, a RUNNING record's ``last_pid`` names a worker
-        that may still be alive (workers lead their own sessions, so
-        they survive their supervisor).  Until it is dead it holds the
-        run directory — heartbeats, checkpoints — so it must be gone
-        before the run is relaunched."""
-        reaped = 0
-        for record in self.records.values():
-            if record.status != RUNNING or not record.last_pid:
-                continue
-            for kill in (os.killpg, os.kill):
-                try:
-                    kill(record.last_pid, signal.SIGKILL)
-                    reaped += 1
-                    break
-                except (ProcessLookupError, PermissionError, OSError):
-                    continue
-        if reaped:
-            self.metrics.counter("fleet.orphan_reaped", inc=float(reaped))
-            self.log(f"[supervisor] reaped {reaped} orphaned worker group(s)")
-        return reaped
-
-    def _dispatch(self, records: list[RunRecord]) -> None:
-        """Recovered (unfinished) records re-enter execution: cache hits
-        are served, spent attempt budgets fail, the rest queue."""
         launchable = []
-        for record in records:
-            done = self.admission.serve_from_cache(record)
-            if done is not None:
-                self.journal.append(done)
+        for entry, record in recovered:
+            if entry.cached is not None:
+                self.journal.append(self._serve(record, entry.cached))
                 self.log(f"[supervisor] {record.run_id}: served from result cache")
-                continue
-            if record.attempts >= self.max_attempts:
-                # Recovered mid-flight on its last attempt: the budget
-                # is spent (matching the pre-pool retry accounting).
+            elif entry.fate == FAIL:
                 record.status = FAILED
                 self.journal.append(
                     {
@@ -261,14 +235,79 @@ class Supervisor:
                         "error": record.last_error,
                     }
                 )
-                self.log(
-                    f"[supervisor] {record.run_id}: attempt budget already "
-                    f"spent ({record.attempts}/{self.max_attempts})"
-                )
-                continue
-            record.status = PENDING
-            launchable.append(record)
+                self.log(f"[supervisor] {record.run_id}: {entry.reason}")
+            elif entry.fate in (RESUME, REQUEUE):
+                record.status = PENDING
+                launchable.append(record)
         self.pool.enqueue(launchable)
+
+    def _admit(self, plan: list[PlannedRun]) -> None:
+        """Admit the new runs as ONE journal batch (one fsync) before any
+        is queued, so every admitted run is recoverable by replay."""
+        events: list[dict] = []
+        admitted = []
+        for entry in plan:
+            if entry.record is not None or entry.fate == REJECT:
+                continue
+            record = RunRecord(entry.run_id, entry.kind, entry.params)
+            self.records[entry.run_id] = record
+            events.append(
+                {
+                    "type": "add",
+                    "run_id": entry.run_id,
+                    "kind": entry.kind,
+                    "params": entry.params,
+                }
+            )
+            if entry.cached is not None:
+                events.append(self._serve(record, entry.cached))
+            else:
+                admitted.append(record)
+        self.journal.append_many(events)
+        self.pool.enqueue(admitted)
+
+        self.rejected = [entry for entry in plan if entry.fate == REJECT]
+        for entry in self.rejected:
+            self.log(f"[supervisor] {entry.run_id}: rejected: {entry.reason}")
+
+    def _reap(self, pids: list[int]) -> None:
+        """SIGKILL the worker process groups a dead supervisor left
+        running.  A worker leads its own session, so it survives its
+        supervisor; until it is dead it holds the run directory —
+        heartbeats, checkpoints — so it must be gone before the run is
+        relaunched."""
+        reaped = 0
+        for pid in pids:
+            for kill in (os.killpg, os.kill):
+                try:
+                    kill(pid, signal.SIGKILL)
+                    reaped += 1
+                    break
+                except (ProcessLookupError, PermissionError, OSError):
+                    continue
+        if reaped:
+            self.metrics.counter("fleet.orphan_reaped", inc=float(reaped))
+            self.log(f"[supervisor] reaped {reaped} orphaned worker group(s)")
+
+    def _serve(self, record: RunRecord, result: dict) -> dict:
+        """Finish ``record`` with a cached result: write it into the run
+        directory and return the ``done`` event to journal."""
+        run_dir = os.path.join(self.out_dir, record.run_id)
+        os.makedirs(run_dir, exist_ok=True)
+        result_path = os.path.join(run_dir, "result.json")
+        atomic_write_json(result_path, result)
+        record.status = DONE
+        record.result_path = result_path
+        record.cached = True
+        record.last_error = None
+        self.metrics.counter("fleet.cache_hit")
+        return {
+            "type": "done",
+            "run_id": record.run_id,
+            "attempt": record.attempts,
+            "result_path": result_path,
+            "cached": True,
+        }
 
     def _store_in_cache(self, record: RunRecord) -> None:
         if self.cache is None:

@@ -35,8 +35,10 @@ def main(argv=None) -> int:
     print("\nPreset events:")
     print(f"  {'Name':14s} {'Avail':6s} {'Derived':12s} Native mapping")
     for name, spec in sorted(PRESETS.items()):
-        avail = papi.query_event(name)
-        if not avail:
+        if args.mode == "legacy" and len(defaults) > 1:
+            print(f"  {name:14s} no     (multiple default PMUs)")
+            continue
+        if not papi.query_event(name):
             print(f"  {name:14s} no")
             continue
         natives = []
@@ -45,10 +47,6 @@ def main(argv=None) -> int:
             if native and native.split(":")[0] in t:
                 natives.append(f"{t.name}::{native}")
         derived = "DERIVED_ADD" if len(natives) > 1 else "NOT_DERIVED"
-        if args.mode == "legacy" and len(defaults) > 1:
-            derived = "UNAVAILABLE"
-            print(f"  {name:14s} no     (multiple default PMUs)")
-            continue
         print(f"  {name:14s} yes    {derived:12s} {' + '.join(natives)}")
 
     if args.native:

@@ -127,3 +127,25 @@ class TestPapiIntegration:
         raptor.machine.run_until_done([t], max_s=5)
         # Counting cycles (IPC 2 -> half the instructions).
         assert papi.stop(es)[0] == pytest.approx(5e5)
+
+    def test_query_event_agrees_with_add_event(self, raptor):
+        """A preset only the CSV defines is queryable exactly when it is
+        addable, and a CSV preset naming no available native is
+        neither."""
+        papi = Papi(
+            raptor,
+            preset_csv=(
+                "PRESET,PAPI_TD_SLOTS,adl coretype:glc,TOPDOWN:SLOTS\n"
+                "PRESET,PAPI_TD_NONE,adl coretype:glc,NO_SUCH_EVENT\n"
+            ),
+        )
+        t = raptor.machine.spawn(
+            SimThread("app", Program([ComputePhase(1e6, RATES)]))
+        )
+        es = papi.create_eventset()
+        papi.attach(es, t)
+        assert papi.query_event("PAPI_TD_SLOTS")
+        papi.add_event(es, "PAPI_TD_SLOTS")
+        assert not papi.query_event("PAPI_TD_NONE")
+        with pytest.raises(PapiError):
+            papi.add_event(es, "PAPI_TD_NONE")

@@ -6,8 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hpl import HplConfig, hpl_flops, hpl_steps
-from repro.hpl.runner import HplCoordinator
-from repro.hpl.variants import VARIANTS
+from repro.hpl.runner import default_cpu_selection, start_hpl
 from repro.hw.cache import LlcModel
 from repro.hw.machines import _gracemont, _raptor_cove
 from repro.hw.rapl import RaplDomain
@@ -138,20 +137,24 @@ def test_hpl_steps_conserve_flops(n, nb):
     variant=st.sampled_from(["openblas", "intel"]),
 )
 def test_coordinator_conserves_update_work(n, threads, variant):
-    """Static chunks + drained dynamic pool == the step's update flops."""
-    cfg = HplConfig(n=n, nb=128)
-    steps = hpl_steps(cfg)
-    var = VARIANTS[variant]
-    ctypes = [_raptor_cove()] * threads
-    coord = HplCoordinator(steps, var, ctypes)
-    for i, step in enumerate(steps):
-        handed_out = coord.static_flops[i] * threads
-        while True:
-            got = coord.claim(i)
-            if got <= 0:
-                break
-            handed_out += got
-        assert handed_out == pytest.approx(step.update_flops, rel=1e-9)
+    """Run to completion, the HPL threads drain every step's dynamic
+    pool through the engine's fused chunk loop, and together they do
+    exactly the run's flops: no chunk is lost or claimed twice."""
+    from repro.system import System
+
+    system = System("raptor-lake-i7-13700", dt_s=0.01)
+    # 8 P-cores, then 8 E-cores: alternate them, so both core types
+    # claim from the same pools.
+    primary = default_cpu_selection(system)
+    cpus = [cpu for pair in zip(primary[:8], primary[8:]) for cpu in pair]
+    cpus = cpus[:threads]
+    handle = start_hpl(system, HplConfig(n=n, nb=128), variant, cpus=cpus)
+    assert system.machine.run_until_done(handle.threads, max_s=600, strict=True)
+    [coord] = {t.source.coord for t in handle.threads}
+    assert all(pool <= 0.0 for pool in coord._pool)
+    assert sum(t.source.flops_done for t in handle.threads) == pytest.approx(
+        hpl_flops(n), rel=1e-9
+    )
 
 
 # --------------------------------------------------------------- engine

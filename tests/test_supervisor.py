@@ -1,4 +1,4 @@
-"""Supervisor: admission, crash isolation, retry classification, resume.
+"""Supervisor: the run plan, crash isolation, retry classification, resume.
 
 The acceptance bar: SIGKILLing a sweep (supervisor or worker, any
 moment) and resuming must produce results bit-identical to a sweep that
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -18,27 +19,20 @@ import tracemalloc
 import pytest
 
 from repro.supervisor import (
-    ADMITTED,
-    CACHED,
     DONE,
-    DUPLICATE,
     EXIT_PERMANENT,
     EXIT_TRANSIENT,
     FAILED,
     PENDING,
-    REJECTED,
-    AdmissionQueue,
     Journal,
     Manifest,
     ResultCache,
     RunRecord,
     RunSpec,
     Supervisor,
-    spec_digest,
 )
 from repro.supervisor import journal as journal_module
 from repro.supervisor.worker import run_spec
-from repro.trace.tracer import MetricsRegistry
 
 #: Small, fast HPL point used throughout.
 HPL_PARAMS = {"n": 1000, "nb": 128, "slice_s": 0.02, "dt_s": 0.01}
@@ -72,78 +66,77 @@ class TestManifest:
         assert back["runs"]["a"] == m.runs["a"].to_json()
 
 
-def _admission(tmp_path, cache=None):
-    journal = Journal(str(tmp_path / "journal.jsonl"))
-    journal.open_fresh()
-    return AdmissionQueue(
-        str(tmp_path), journal, {}, MetricsRegistry(), cache=cache
-    )
+def _journal_types(sup):
+    """Event types of ``sup``'s journal, without the seal every
+    ``run()`` ends with."""
+    with open(sup.journal_path) as fh:
+        types = [json.loads(line)["type"] for line in fh]
+    assert types[-2] == "metrics" and types[-1] in ("complete", "drain")
+    return types[:-2]
+
+
+def _drained(path, **kw):
+    """A supervisor that admits and journals but launches nothing."""
+    sup = Supervisor(str(path), workers=1, log=lambda msg: None, **kw)
+    sup.request_drain()
+    return sup
 
 
 class TestAdmission:
     def test_idempotent_by_digest(self, tmp_path):
-        """The same spec under any id converges on one run: duplicate
-        verdicts point at the existing run, nothing is re-journaled."""
-        queue = _admission(tmp_path)
-        queue.admit([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
-        size = os.path.getsize(queue.journal.path)
-        again, to_enqueue = queue.admit(
-            [RunSpec("r1", "hpl", dict(HPL_PARAMS)),
-             RunSpec("other-name", "hpl", dict(HPL_PARAMS)),
-             RunSpec("", "hpl", dict(HPL_PARAMS))]
-        )
-        assert [v.disposition for v in again] == [DUPLICATE] * 3
-        assert {v.run_id for v in again} == {"r1"}
-        assert to_enqueue == []
-        assert os.path.getsize(queue.journal.path) == size  # no new bytes
-        assert len(queue.records) == 1
+        """Resubmitting a known run id with the same spec is a no-op:
+        nothing is journaled for it and nothing runs again."""
+        spec = RunSpec("r1", "hpl", dict(HPL_PARAMS))
+        _drained(tmp_path / "sweep").run([spec])
+        sup = _drained(tmp_path / "sweep")
+        [entry] = sup.plan([spec, spec], resume=True)
+        assert (entry.run_id, entry.fate) == ("r1", "resume")
+        size = os.path.getsize(sup.journal_path)
+        sup.run([RunSpec("r1", "hpl", dict(HPL_PARAMS))] * 2, resume=True)
+        with open(sup.journal_path) as fh:
+            fh.seek(size)
+            assert [json.loads(line)["type"] for line in fh] == ["metrics", "drain"]
+        assert list(sup.records) == ["r1"]
 
-    def test_anonymous_spec_gets_digest_id(self, tmp_path):
-        queue = _admission(tmp_path)
-        [verdict], _ = queue.admit([RunSpec("", "hpl", dict(HPL_PARAMS))])
-        digest = spec_digest("hpl", dict(HPL_PARAMS))
-        assert verdict.run_id == f"hpl-{digest[:12]}"
+    def test_run_spec_needs_a_run_id(self):
+        with pytest.raises(ValueError, match="needs a run id"):
+            RunSpec("", "hpl", dict(HPL_PARAMS))
 
     def test_id_conflict_is_rejected(self, tmp_path):
-        queue = _admission(tmp_path)
-        queue.admit([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
-        [verdict], to_enqueue = queue.admit(
-            [RunSpec("r1", "hpl", dict(HPL_PARAMS, n=2000))]
-        )
-        assert verdict.disposition == REJECTED
-        assert "different spec" in verdict.reason
-        assert to_enqueue == []
-        assert queue.records["r1"].params["n"] == HPL_PARAMS["n"]
+        _drained(tmp_path / "sweep").run([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
+        sup = _drained(tmp_path / "sweep")
+        sup.run([RunSpec("r1", "hpl", dict(HPL_PARAMS, n=2000))], resume=True)
+        [entry] = sup.rejected
+        assert entry.run_id == "r1" and entry.fate == "reject"
+        assert "different spec" in entry.reason
+        assert sup.records["r1"].params["n"] == HPL_PARAMS["n"]
+        assert _journal_types(sup).count("add") == 1
 
     def test_admission_cache_hit_is_zero_launch(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"), version="v1")
+        cache = ResultCache(str(tmp_path / "cache"))
         cache.put("hpl", dict(HPL_PARAMS), {"gflops": 1.5})
-        queue = _admission(tmp_path, cache=cache)
-        [verdict], to_enqueue = queue.admit([RunSpec("r2", "hpl", dict(HPL_PARAMS))])
-        queue.journal.close()
-        assert verdict.disposition == CACHED
-        assert verdict.status == DONE
-        assert to_enqueue == []  # never reaches the pool
-        record = queue.records["r2"]
-        assert record.cached
+        sup = Supervisor(
+            str(tmp_path / "sweep"), cache_dir=cache.root, log=lambda m: None
+        )
+        manifest = sup.run([RunSpec("r2", "hpl", dict(HPL_PARAMS))])
+        record = manifest.runs["r2"]
+        assert record.status == DONE and record.cached
         assert json.load(open(record.result_path)) == {"gflops": 1.5}
+        assert ("fleet.launch", None) not in sup.metrics.counters  # no worker
         # The cached result was journaled inside the admission batch.
-        types = [
-            json.loads(line)["type"] for line in open(queue.journal.path)
-        ]
-        assert types == ["header", "add", "done"]
-        assert Journal.replay(queue.journal.path).records["r2"].cached
+        assert _journal_types(sup) == ["header", "add", "done"]
+        assert Journal.replay(sup.journal_path).records["r2"].cached
 
 
 class TestAdmissionScale:
     @pytest.mark.slow
     @pytest.mark.timeout(120)
     def test_batched_admission_at_1e4_scale(self, tmp_path, monkeypatch):
-        """One batched admission of ten thousand specs lands within a
-        wall-time bound, in bounded memory, with one journal fsync — and
-        a full resubmit is pure dedup."""
+        """Ten thousand specs are admitted within a wall-time bound, in
+        bounded memory, with one journal write for the whole batch, so
+        the sweep pays as many fsyncs as a one-spec sweep — and a full
+        resubmit journals no admission bytes."""
         n = 10_000
-        queue = _admission(tmp_path)
         specs = [
             RunSpec(f"r{i:05d}", "hpl", dict(HPL_PARAMS, n=1000 + i))
             for i in range(n)
@@ -153,35 +146,51 @@ class TestAdmissionScale:
         monkeypatch.setattr(
             journal_module.os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
         )
+        batches = []
+        real_append_many = Journal.append_many
+
+        def append_many(journal, events):
+            events = list(events)
+            batches.append([e["type"] for e in events])
+            return real_append_many(journal, events)
+
+        monkeypatch.setattr(Journal, "append_many", append_many)
+
+        _drained(tmp_path / "one").run(specs[:1])
+        one_spec_fsyncs = len(fsyncs)
+        fsyncs.clear()
+        batches.clear()
+        sup = _drained(tmp_path / "sweep")
         tracemalloc.start()
         t0 = time.monotonic()
-        verdicts, to_enqueue = queue.admit(specs)
+        sup.run(specs)
         admit_s = time.monotonic() - t0
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
-        assert len(fsyncs) == 1
-        assert [v.disposition for v in verdicts] == [ADMITTED] * n
-        assert len(to_enqueue) == n
+        assert len(fsyncs) == one_spec_fsyncs
+        assert ["add"] * n in batches
+        assert sum(types.count("add") for types in batches) == n
         assert admit_s < 30.0, f"admission took {admit_s:.1f}s for {n} specs"
         assert peak < 256 * 1024 * 1024, f"peak {peak / 1e6:.0f} MB"
 
         # Everything admitted is durable — replay sees all n, pending.
-        state = Journal.replay(queue.journal.path)
+        state = Journal.replay(sup.journal_path)
         assert len(state.records) == n
         assert all(r.status == PENDING for r in state.records.values())
 
-        # Resubmitting the whole batch is pure dedup: zero new journal
-        # bytes, nothing to enqueue, and it must also be fast.
-        size = os.path.getsize(queue.journal.path)
+        # Resubmitting the whole batch journals no admission events and
+        # must also be fast.
+        size = os.path.getsize(sup.journal_path)
+        again = _drained(tmp_path / "sweep")
         t0 = time.monotonic()
-        verdicts, to_enqueue = queue.admit(specs)
+        again.run(specs, resume=True)
         dedup_s = time.monotonic() - t0
-        assert all(v.disposition == DUPLICATE for v in verdicts)
-        assert to_enqueue == []
-        assert os.path.getsize(queue.journal.path) == size
+        with open(again.journal_path) as fh:
+            fh.seek(size)
+            assert [json.loads(line)["type"] for line in fh] == ["metrics", "drain"]
+        assert again.rejected == []
         assert dedup_s < 10.0, f"dedup took {dedup_s:.1f}s"
-        queue.journal.close()
 
 
 class TestWorkerExitCodes:
@@ -421,3 +430,189 @@ class TestSweepCliRejectsChangedSpecs:
         assert "1 reject" in plan.stdout
         after = open(os.path.join(finished_sweep, "journal.jsonl"), "rb").read()
         assert after == before
+
+
+# -- the plan is what a resume does -------------------------------------------
+
+
+def _failing(run_id, **params):
+    """A spec whose worker fails at once (permanent): cheap to launch."""
+    return RunSpec(run_id, "failing", {"message": run_id, **params})
+
+
+def _add(run_id, **params):
+    spec = _failing(run_id, **params)
+    return {"type": "add", "run_id": run_id, "kind": spec.kind, "params": spec.params}
+
+
+def _launch(run_id, attempt=1, pid=None):
+    return {"type": "launch", "run_id": run_id, "attempt": attempt, "slot": 0,
+            "resume_from": None, "pid": pid}
+
+
+def _done(run_id):
+    return {"type": "done", "run_id": run_id, "attempt": 1,
+            "result_path": f"{run_id}/result.json", "cached": False}
+
+
+def _failed(run_id):
+    return [
+        _launch(run_id),
+        {"type": "exit", "run_id": run_id, "attempt": 1, "code": EXIT_PERMANENT,
+         "liveness": "live", "error": {"type": "ValueError"},
+         "checkpoint_path": None},
+        {"type": "failed", "run_id": run_id, "attempt": 1,
+         "error": {"type": "ValueError"}},
+    ]
+
+
+def _journaled_fates(sup, since, journaled):
+    """Every (run id, fate) as the journal tells it: the events ``run()``
+    appended after byte ``since``, the rejections, and the journaled runs
+    it left alone."""
+    with open(sup.journal_path) as fh:
+        fh.seek(since)
+        events = [json.loads(line) for line in fh]
+    types: dict[str, list[str]] = {}
+    for event in events:
+        if "run_id" in event:
+            types.setdefault(event["run_id"], []).append(event["type"])
+    first_event_fate = {
+        "requeue": "requeue", "launch": "resume", "failed": "fail", "done": "skip"
+    }
+    fates = set()
+    for run_id, seen in types.items():
+        if seen[0] == "add":
+            fates.add((run_id, "skip" if seen[1:2] == ["done"] else "admit"))
+        else:
+            fates.add((run_id, first_event_fate[seen[0]]))
+    rejected = {entry.run_id for entry in sup.rejected}
+    fates |= {(run_id, "reject") for run_id in rejected}
+    fates |= {
+        (run_id, "skip")
+        for run_id in journaled
+        if run_id not in types and run_id not in rejected
+    }
+    return fates
+
+
+#: (journal events, submitted specs, cached specs, expected plan)
+PLAN_CASES = {
+    "done": ([_add("d"), _launch("d"), _done("d")], [_failing("d")], [],
+             [("d", "skip")]),
+    "failed": ([_add("f"), *_failed("f")], [_failing("f")], [],
+               [("f", "requeue")]),
+    "in-flight": ([_add("i"), _launch("i", pid="ORPHAN")], [_failing("i")], [],
+                  [("i", "resume")]),
+    "spent-budget": ([_add("s"), _launch("s", attempt=3)], [_failing("s")], [],
+                     [("s", "fail")]),
+    "cache-servable": ([_add("c")], [_failing("c"), _failing("n")],
+                       [_failing("c"), _failing("n")],
+                       [("c", "skip"), ("n", "skip")]),
+    "conflicting": ([_add("d"), _launch("d"), _done("d"), _add("p")],
+                    [_failing("d", x=1), _failing("p", x=1)], [],
+                    [("p", "resume"), ("d", "reject"), ("p", "reject")]),
+    "not-resubmitted": ([_add("f"), *_failed("f"), _add("d"), _launch("d"),
+                         _done("d"), _add("p")],
+                        [_failing("n")], [],
+                        [("f", "requeue"), ("d", "skip"), ("p", "resume"),
+                         ("n", "admit")]),
+}
+
+
+class TestPlanIsWhatResumeDoes:
+    """``Supervisor.plan`` (what ``--dry-run`` prints) lists exactly the
+    runs and fates the following ``run(resume=True)`` journals."""
+
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    def test_plan_matches_the_resumed_journal(self, tmp_path, case):
+        events, specs, cached, expected = PLAN_CASES[case]
+        cache = ResultCache(str(tmp_path / "cache"))
+        for spec in cached:
+            cache.put(spec.kind, spec.params, {"cached": spec.run_id})
+        # A worker the dead supervisor left running, in its own session.
+        orphan = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"],
+            start_new_session=True,
+        )
+        try:
+            events = [
+                dict(e, pid=orphan.pid) if e.get("pid") == "ORPHAN" else e
+                for e in events
+            ]
+            out = tmp_path / "sweep"
+            out.mkdir()
+            journal = Journal(str(out / "journal.jsonl"))
+            journal.open_fresh()
+            journal.append_many(events)
+            journal.close()
+            journaled = set(Journal.replay(journal.path).records)
+
+            def supervisor():
+                return _supervisor(
+                    tmp_path, workers=2, cache_dir=cache.root, max_attempts=3
+                )
+
+            before = open(journal.path, "rb").read()
+            plan = supervisor().plan(specs, resume=True)
+            assert open(journal.path, "rb").read() == before  # touches nothing
+            assert [(e.run_id, e.fate) for e in plan] == expected
+            assert all(e.reason for e in plan)
+            orphans = {e.run_id: e.orphan_pid for e in plan if e.orphan_pid}
+            assert orphans == ({"i": orphan.pid} if case == "in-flight" else {})
+
+            sup = supervisor()
+            sup.run(specs, resume=True)
+            assert _journaled_fates(sup, len(before), journaled) == set(expected)
+            if case == "in-flight":
+                assert orphan.wait(timeout=10) == -signal.SIGKILL
+        finally:
+            orphan.kill()
+            orphan.wait()
+
+
+def _plan_rows(stdout):
+    """The (run id, fate) rows ``tools/sweep.py --dry-run`` printed."""
+    lines = stdout.splitlines()
+    start = lines.index(next(l for l in lines if l.split()[:2] == ["run", "plan"]))
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("[sweep] dry run:"):
+            return rows
+        rows.append(tuple(line.split()[:2]))
+    raise AssertionError(f"no dry-run summary in:\n{stdout}")
+
+
+class TestSweepCliDryRun:
+    """The previews ``tools/sweep.py --dry-run`` used to get wrong."""
+
+    def test_dry_run_lists_a_failed_run_that_was_not_resubmitted(self, tmp_path):
+        out = str(tmp_path / "out")
+        chaos = ["--chaos-seed", "19", "--max-attempts", "1"]  # n2000 crashes
+        first = _sweep("--out", out, "--n", "1000", "2000", *chaos)
+        assert first.returncode == 1, first.stdout + first.stderr
+        dry = _sweep("--out", out, "--resume", "--n", "1000", *chaos, "--dry-run")
+        assert dry.returncode == 0, dry.stdout + dry.stderr
+        rows = _plan_rows(dry.stdout)
+        assert rows == [
+            ("hpl-openblas-n1000", "skip"), ("hpl-openblas-n2000", "requeue")
+        ]
+        size = os.path.getsize(os.path.join(out, "journal.jsonl"))
+        resumed = _sweep("--out", out, "--resume", "--n", "1000", *chaos)
+        assert resumed.returncode == 1, resumed.stdout + resumed.stderr
+        assert "launch=1" in resumed.stdout
+        sup = Supervisor(out, log=lambda m: None)
+        assert _journaled_fates(sup, size, {r for r, _ in rows}) == set(rows)
+
+    def test_dry_run_lists_a_cache_hit_as_skip(self, tmp_path):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        warm = _sweep("--out", str(tmp_path / "a"), *cache)
+        assert warm.returncode == 0, warm.stdout + warm.stderr
+        out = str(tmp_path / "b")
+        dry = _sweep("--out", out, *cache, "--dry-run")
+        assert _plan_rows(dry.stdout) == [("hpl-openblas-n1000", "skip")]
+        assert "served from the result cache" in dry.stdout
+        assert not os.path.exists(out)
+        served = _sweep("--out", out, *cache)
+        assert served.returncode == 0, served.stdout + served.stderr
+        assert "cache_hit=1" in served.stdout and "launch=" not in served.stdout

@@ -1,7 +1,7 @@
 """Chaos-fleet acceptance: the ISSUE 7 end-to-end bar.
 
 A 16-job sweep on a worker pool with deterministic chaos (self-crashing
-workers, stalls that force stuck-kills and migrations), a seeded-random
+workers, stalls that force stuck-kills and retries), a seeded-random
 worker SIGKILL, and a supervisor SIGKILL mid-fleet — resumed, it must
 produce results byte-identical to a calm uninterrupted fleet.  This
 drives ``tools/resume_equivalence.py --soak``, the same entry point CI
@@ -50,15 +50,16 @@ def test_soak_chaos_fleet_is_bit_identical(tmp_path):
 
     # The chaos actually happened: across the killed sweep's journal
     # (pre-kill + resumed appends), the stall injection forced at least
-    # one stuck-kill that migrated, and the crash injection at least one
-    # plain retry.
+    # one stuck-kill that was retried.
     events = _journal_events(os.path.join(base, "killed", "journal.jsonl"))
-    stuck_exits = [
-        e for e in events if e["type"] == "exit" and e.get("liveness") == "stuck"
-    ]
-    migrated = [e for e in events if e["type"] == "retry" and e.get("migrated")]
-    assert stuck_exits, "no stuck worker was ever detected"
-    assert migrated, "no migration ever happened"
+    stuck = {
+        e["run_id"]
+        for e in events
+        if e["type"] == "exit" and e.get("liveness") == "stuck"
+    }
+    retried = {e["run_id"] for e in events if e["type"] == "retry"}
+    assert stuck, "no stuck worker was ever detected"
+    assert stuck & retried, "no stuck worker was ever retried"
     launches = [e for e in events if e["type"] == "launch"]
     slots = {e["slot"] for e in launches}
     assert len(slots) > 1, "fleet never used more than one pool slot"

@@ -71,7 +71,10 @@ class TestJournalReplay:
         assert state.records["b"].status == RUNNING
         assert state.records["b"].attempts == 1
 
-    def test_retry_and_migration_fold(self, tmp_path):
+    def test_journal_with_retired_retry_fields_replays(self, tmp_path):
+        """A version 2 journal whose ``retry`` events still carry the
+        retired ``migrated``/``from_slot`` fields replays; the fields
+        are ignored."""
         path = _journal(
             tmp_path,
             [
@@ -88,9 +91,13 @@ class TestJournalReplay:
         record = Journal.replay(path).records["a"]
         assert record.status == PENDING
         assert record.attempts == 1
-        assert record.migrations == 1
+        assert record.last_pid is None
         assert record.checkpoint_path == "a/checkpoint.snap"
         assert record.last_error["type"] == "StuckWorker"
+        assert set(record.to_json()) == {
+            "run_id", "kind", "params", "status", "attempts", "result_path",
+            "checkpoint_path", "last_error", "stuck", "cached", "last_pid",
+        }
 
     def test_torn_last_line_is_clean_resume(self, tmp_path):
         path = _journal(tmp_path, [ADD_A])

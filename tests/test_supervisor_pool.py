@@ -1,4 +1,4 @@
-"""Worker pool: backoff, concurrency, liveness kills, migration, drain.
+"""Worker pool: backoff, concurrency, liveness kills, drain.
 
 Backoff tests drive the pool on an injected fake clock/sleep pair — no
 real ``time.sleep`` anywhere in the scheduling path.  Liveness tests use
@@ -180,10 +180,10 @@ class TestConcurrency:
 
 
 class TestLiveness:
-    def test_stuck_worker_is_migrated_and_converges(self, tmp_path):
+    def test_stuck_worker_is_retried_from_checkpoint_and_converges(self, tmp_path):
         """A worker heartbeating with frozen sim time is stuck: killed,
-        requeued on a different slot, resumed from checkpoint, and the
-        final result is bit-identical to a run that never stalled."""
+        retried from its checkpoint, and the final result is
+        bit-identical to a run that never stalled."""
         sup = Supervisor(
             str(tmp_path / "sweep"),
             max_attempts=3,
@@ -207,9 +207,8 @@ class TestLiveness:
         staller = manifest.runs["staller"]
         assert staller.status == DONE
         assert staller.attempts == 2
-        assert staller.migrations == 1
         assert staller.last_error is None
-        # The stuck verdict and the migration are journaled.
+        # The stuck verdict and the retry are journaled.
         exits = [
             e
             for e in _journal_events(sup, "exit")
@@ -222,18 +221,17 @@ class TestLiveness:
             for e in _journal_events(sup, "retry")
             if e["run_id"] == "staller"
         ]
-        assert retries[0]["migrated"] is True
-        # Migrated to a different slot.
+        assert retries[0]["next_attempt"] == 2
         launches = [
             e
             for e in _journal_events(sup, "launch")
             if e["run_id"] == "staller"
         ]
         assert len(launches) == 2
-        assert launches[1]["slot"] != launches[0]["slot"]
         assert launches[1]["resume_from"]  # from checkpoint, not scratch
-        assert sup.metrics.counters[("fleet.migration", None)] == 1.0
-        # Bit-identical convergence despite the stall + migration.
+        assert sup.metrics.counters[("fleet.liveness_kill", "stuck")] == 1.0
+        assert sup.metrics.counters[("fleet.retry", None)] == 1.0
+        # Bit-identical convergence despite the stall.
         assert (
             _result(sup, "staller")["state_digest"]
             == _result(sup, "steady")["state_digest"]

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.hw.coretype import ArchEvent
 from repro.hw.machines import _gracemont, _raptor_cove
+from repro.sim.task import Program, SimThread
+from repro.system import System
 from repro.workloads import JOB_PROFILES, make_job_phases
 from repro.workloads.guided import (
     default_job_batch,
@@ -41,6 +44,39 @@ class TestJobProfiles:
         phases = make_job_phases(JOB_PROFILES["streaming-scan"], 1e6)
         assert len(phases) == 1
         assert phases[0].remaining == 1e6
+
+    @pytest.mark.parametrize("engine", ["ticks", "events"])
+    def test_time_shared_jobs_count_their_own_events(self, engine):
+        """Two jobs sharing one P-core each count their own profile's
+        events.  ``JobProfile.rates`` builds a fresh ``PhaseRates`` per
+        call, so the engine's rate-vector memo must not answer one job's
+        rates with a vector cached for another's recycled object."""
+        system = System("raptor-lake-i7-13700", dt_s=1e-3, engine=engine)
+        machine = system.machine
+        cpu = machine.topology.cpus_of_pmu("cpu_core")[0]
+        jobs = [
+            (JOB_PROFILES[name], machine.spawn(SimThread(
+                name,
+                Program(make_job_phases(JOB_PROFILES[name], 2e7)),
+                affinity={cpu},
+            )))
+            for name in ("pointer-chase", "integer-hot-loop")
+        ]
+        machine.run_until_done([t for _, t in jobs], strict=True)
+        ctype = machine.topology.core(cpu).ctype
+        for profile, thread in jobs:
+            got = thread.counters_total()
+            want = profile.expected_counts(ctype, 2e7)
+            for event in (
+                ArchEvent.INSTRUCTIONS,
+                ArchEvent.LLC_REFERENCES,
+                ArchEvent.LLC_MISSES,
+                ArchEvent.BRANCHES,
+                ArchEvent.BRANCH_MISSES,
+            ):
+                assert got[event] == pytest.approx(want[event], rel=1e-9), (
+                    profile.name, event.name
+                )
 
 
 class TestProfiling:

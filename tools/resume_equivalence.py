@@ -14,7 +14,7 @@ Default mode:
    headline numbers.
 
 ``--soak`` escalates to the fleet: a 16-job sweep on a worker pool with
-deterministic chaos injection (crashes + stalls → migrations), where a
+deterministic chaos injection (crashes + stalls → retries), where a
 seeded-random *worker* is SIGKILLed mid-fleet, then the *supervisor*
 itself is SIGKILLed, and the resumed sweep must still end byte-identical
 to the calm reference.
@@ -49,7 +49,7 @@ SWEEP_ARGS = [
 ]
 
 #: Fleet/soak sweep: 16 jobs on a worker pool with deterministic chaos
-#: (seed 8 draws two self-crashes and two stalls → migrations).
+#: (seed 8 draws two self-crashes and two stalls → stuck-kills).
 SOAK_ARGS = [
     "--preset", "fleet",
     "--slice-s", "0.02",

@@ -13,9 +13,11 @@ latest checkpoint; the results are bit-identical to a sweep that was
 never interrupted (``tools/resume_equivalence.py`` is the CI gate that
 enforces exactly that).  A spec whose run id already names a different
 spec in the journal (say, a ``--resume`` with a changed ``--slice-s``)
-is rejected with its reason, not run.  ``--dry-run`` prints the
-admission plan — which runs would be admitted, requeued, resumed,
-skipped or rejected — and touches nothing.
+is rejected with its reason, not run.  ``--dry-run`` prints the plan
+the sweep would carry out — every run it would admit, skip (done or
+served from ``--cache-dir``), resume, requeue, fail (attempt budget
+already spent) or reject, journaled runs that were not resubmitted
+included — and touches nothing.
 
 Exit codes: 0 success; 1 failed runs, rejected specs or unfinished
 runs; 3 drained on SIGTERM (``--resume`` finishes the job); 4 the
@@ -39,12 +41,12 @@ sys.path.insert(
 from repro.supervisor import (  # noqa: E402
     DONE,
     FAILED,
-    Journal,
+    FATES,
     JournalError,
+    PlannedRun,
     RunSpec,
     Supervisor,
 )
-from repro.supervisor.queue import id_conflict  # noqa: E402
 
 #: Exit code when the sweep drained on SIGTERM (resume to continue).
 EXIT_DRAINED = 3
@@ -110,7 +112,7 @@ def inject_chaos(runs: list[RunSpec], seed: int) -> None:
     """Deterministically seed some runs with first-attempt faults.
 
     Roughly a fifth of the sweep self-crashes (SIGKILL mid-run) and a
-    tenth wedges (heartbeats with frozen sim time — the stuck/migration
+    tenth wedges (heartbeats with frozen sim time — the stuck-worker
     path), always on attempt 1 only.  The fault parameters change how a
     run *executes*, never what it computes, so a chaos sweep must still
     end byte-identical to a calm one — that is the property the chaos
@@ -135,7 +137,6 @@ def print_metrics(supervisor: Supervisor) -> None:
         "fleet.launch",
         "fleet.done",
         "fleet.retry",
-        "fleet.migration",
         "fleet.preempt",
         "fleet.cache_hit",
         "fleet.failed",
@@ -149,40 +150,15 @@ def print_metrics(supervisor: Supervisor) -> None:
     print(f"[sweep] fleet metrics: {' '.join(parts + kills) or 'none'}")
 
 
-# -- admission planning (--dry-run) ------------------------------------------
-
-
-def dry_run_plan(args: argparse.Namespace, runs: list[RunSpec]) -> int:
-    """Print what admission would do, touching nothing on disk."""
-    journal_path = os.path.join(args.out, "journal.jsonl")
-    records = {}
-    if args.resume and os.path.exists(journal_path) and os.path.getsize(journal_path):
-        records = Journal.replay(journal_path).records
-    plans = {"admit": 0, "skip": 0, "requeue": 0, "resume": 0, "reject": 0}
+def print_plan(plan: list[PlannedRun]) -> None:
+    """``--dry-run``: the fate of every run, and a count per fate."""
+    counts = dict.fromkeys(FATES, 0)
     print(f"{'run':28s} {'plan':8s} reason")
-    for spec in runs:
-        existing = records.get(spec.run_id)
-        conflict = id_conflict(existing, spec) if existing else None
-        if existing is None:
-            plan, why = "admit", "new spec"
-        elif conflict:
-            plan, why = "reject", conflict
-        elif existing.status == DONE:
-            plan, why = "skip", "already done" + (
-                " (cached)" if existing.cached else ""
-            )
-        elif existing.status == FAILED:
-            plan, why = "requeue", f"was {existing.status}; fresh attempt budget"
-        else:
-            plan, why = "resume", (
-                f"{existing.status}, attempt {existing.attempts}, "
-                f"checkpoint {existing.checkpoint_path or 'none'}"
-            )
-        plans[plan] += 1
-        print(f"{spec.run_id:28s} {plan:8s} {why}")
-    summary = ", ".join(f"{v} {k}" for k, v in plans.items() if v)
+    for entry in plan:
+        counts[entry.fate] += 1
+        print(f"{entry.run_id:28s} {entry.fate:8s} {entry.reason}")
+    summary = ", ".join(f"{n} {fate}" for fate, n in counts.items() if n)
     print(f"[sweep] dry run: {summary or 'nothing to do'}; no files were touched")
-    return 0
 
 
 def run_sweep(argv) -> int:
@@ -194,7 +170,7 @@ def run_sweep(argv) -> int:
     parser.add_argument("--resume", action="store_true",
                         help="resume from an existing journal")
     parser.add_argument("--dry-run", action="store_true",
-                        help="print the admission plan and touch nothing")
+                        help="print the fate of every run and touch nothing")
     parser.add_argument("--preset", choices=sorted(PRESETS), default="quick")
     parser.add_argument("--machine", default="raptor-lake-i7-13700")
     parser.add_argument("--n", type=int, nargs="*", help="HPL problem sizes")
@@ -212,7 +188,7 @@ def run_sweep(argv) -> int:
     parser.add_argument("--timeout-s", type=float, default=300.0,
                         help="wall-clock kill timeout per worker")
     parser.add_argument("--stuck-after-s", type=float, default=30.0,
-                        help="kill+migrate a worker whose simulated time "
+                        help="kill and retry a worker whose simulated time "
                              "stops advancing for this many wall seconds")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker pool size (default: CPU-derived)")
@@ -227,9 +203,6 @@ def run_sweep(argv) -> int:
     args = parser.parse_args(argv)
 
     runs = build_runs(args)
-    if args.dry_run:
-        return dry_run_plan(args, runs)
-
     supervisor = Supervisor(
         args.out,
         max_attempts=args.max_attempts,
@@ -241,6 +214,9 @@ def run_sweep(argv) -> int:
         jitter_seed=args.jitter_seed,
         cache_dir=args.cache_dir,
     )
+    if args.dry_run:
+        print_plan(supervisor.plan(runs, resume=args.resume))
+        return 0
 
     def on_sigterm(signum, frame):
         # Async-signal-safe only: one os.write plus the flag-setting
@@ -273,8 +249,8 @@ def run_sweep(argv) -> int:
     print(f"\nmanifest: {manifest.path}")
     print(f"journal:  {supervisor.journal_path}")
     print_metrics(supervisor)
-    for verdict in supervisor.rejected:
-        print(f"[sweep] {verdict.run_id} rejected: {verdict.reason}")
+    for entry in supervisor.rejected:
+        print(f"[sweep] {entry.run_id} rejected: {entry.reason}")
     if failed or supervisor.rejected:
         return 1
     if supervisor.drained and pending:
