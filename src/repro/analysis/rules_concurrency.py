@@ -3,10 +3,6 @@
 The fleet forks worker process groups and reacts to SIGTERM/SIGINT; the
 failure modes are classic and brutal to debug:
 
-* a child forked while the parent holds a lock inherits the *held* lock
-  with nobody to release it (instant deadlock in the child), and a
-  ``fork()`` with an open socket shares the fd — two processes then
-  read the same stream;
 * a worker ``Popen``\\ ed or forked into the supervisor's session dies
   with it and escapes group-kill/orphan-reap semantics — every managed
   ``Popen`` must pass ``start_new_session=True``, and every function
@@ -22,7 +18,7 @@ failure modes are classic and brutal to debug:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.analysis.callgraph import (
     CallGraph,
@@ -66,33 +62,14 @@ SESSION_REQUIRED_SPAWNS = {"subprocess.Popen"}
 #: code, so the same function must make it a session leader.
 FORK_CALLS = {"os.fork", "os.forkpty"}
 
-_LOCKISH_CTORS = ("Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition")
-
-
-def _is_lockish(expr: ast.expr) -> Optional[str]:
-    """A name for the lock-like object this expression denotes, or None."""
-    target = expr
-    if isinstance(target, ast.Call):
-        target = target.func
-    if isinstance(target, ast.Attribute):
-        leaf = target.attr
-    elif isinstance(target, ast.Name):
-        leaf = target.id
-    else:
-        return None
-    if "lock" in leaf.lower() or leaf in _LOCKISH_CTORS:
-        return leaf
-    return None
-
 
 @register
 class ForkSafetyRule(Rule):
     id = "FORK-SAFETY"
     severity = Severity.ERROR
     description = (
-        "no child process may be spawned while a lock is held or (for "
-        "fork) a socket is open, and managed workers must lead their own "
-        "session (Popen: start_new_session=True; fork: os.setsid())"
+        "managed workers must lead their own session (Popen: "
+        "start_new_session=True; fork: os.setsid() in the same function)"
     )
     scope = SERVICE_SCOPE
 
@@ -126,80 +103,6 @@ class ForkSafetyRule(Rule):
         spawns = self._spawn_calls(scope, origins)
         if not spawns:
             return
-        spawn_ids = {id(call) for call, _ in spawns}
-
-        # 1. Spawn inside a `with <lock>` block.
-        for node in walk_shallow(scope):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            held = [
-                name
-                for item in node.items
-                if (name := _is_lockish(item.context_expr)) is not None
-            ]
-            if not held:
-                continue
-            for inner in ast.walk(node):
-                if id(inner) in spawn_ids:
-                    assert isinstance(inner, ast.Call)
-                    yield self.finding(
-                        module,
-                        inner,
-                        f"child process spawned while holding {held[0]!r}; "
-                        "the child inherits the held lock state and can "
-                        "deadlock against the parent",
-                        symbol=symbols.get(id(inner), ""),
-                    )
-
-        # 2. Spawn lexically between .acquire() and .release() on the
-        #    same receiver.
-        acquires: dict[str, list[int]] = {}
-        releases: dict[str, list[int]] = {}
-        for node in walk_shallow(scope):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("acquire", "release")
-            ):
-                recv = ast.dump(node.func.value)
-                bucket = acquires if node.func.attr == "acquire" else releases
-                bucket.setdefault(recv, []).append(node.lineno)
-        for recv, acq_lines in acquires.items():
-            rel_lines = releases.get(recv, [])
-            for call, _dotted in spawns:
-                if any(
-                    a < call.lineno and any(r > call.lineno for r in rel_lines)
-                    for a in acq_lines
-                ):
-                    yield self.finding(
-                        module,
-                        call,
-                        "child process spawned between .acquire() and "
-                        ".release(); the child inherits the held lock state",
-                        symbol=symbols.get(id(call), ""),
-                    )
-
-        # 3. fork() after a socket was created in the same scope.
-        socket_lines = [
-            node.lineno
-            for node in walk_shallow(scope)
-            if isinstance(node, ast.Call)
-            and resolve_dotted(node.func, origins) == "socket.socket"
-        ]
-        for call, dotted in spawns:
-            if dotted in FORK_CALLS and any(
-                line < call.lineno for line in socket_lines
-            ):
-                yield self.finding(
-                    module,
-                    call,
-                    "fork() while a socket created in this function may "
-                    "still be open; the fd is shared and both processes "
-                    "will read the same stream",
-                    symbol=symbols.get(id(call), ""),
-                )
-
-        # 4. Managed workers must detach into their own session.
         has_setsid = any(
             isinstance(node, ast.Call)
             and resolve_dotted(node.func, origins) == "os.setsid"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.hpl.dat import HplConfig
@@ -43,11 +42,6 @@ def orangepi_core_sets(system: System) -> dict[str, list[int]]:
     big = topo.cpus_of_type("big")
     little = topo.cpus_of_type("LITTLE")
     return {"big x2": big, "little x4": little, "all x6": little + big}
-
-
-@dataclass
-class TableRow:
-    cells: list[str]
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -24,14 +24,6 @@ SPIN_POWER_FRACTION = 0.5
 
 
 @dataclass
-class CorePowerState:
-    """Activity of one logical CPU over the last tick."""
-
-    busy_frac: float = 0.0   # fraction of the tick doing real work
-    spin_frac: float = 0.0   # fraction of the tick spin-waiting
-
-
-@dataclass
 class PowerSample:
     """One tick's power breakdown, in watts."""
 
@@ -71,33 +63,14 @@ class PowerModel:
             for cpu_ids in seen_phys.values()
         ]
 
-    def sample(
-        self,
-        states: list[CorePowerState],
-        cluster_freq_mhz: list[float],
-    ) -> PowerSample:
-        topo = self.topology
-        if len(states) != topo.n_cpus:
-            raise ValueError("one CorePowerState per logical CPU required")
-        busy = [s.busy_frac for s in states]
-        spin = [s.spin_frac for s in states]
-        return self.sample_activity(busy, spin, cluster_freq_mhz)
-
     def sample_activity(
         self,
-        busy,
-        spin,
+        busy: list[float],
+        spin: list[float],
         cluster_freq_mhz: list[float],
     ) -> PowerSample:
-        """Sample from per-CPU busy/spin fraction sequences (indexable by
-        cpu id — lists or numpy arrays)."""
-        # Normalize numpy inputs to plain floats once, up front, so the
-        # hot accumulations below stay off the numpy scalar-boxing path
-        # and keep returning builtin floats either way.
-        if type(busy) is not list:
-            busy = [float(v) for v in busy]
-        if type(spin) is not list:
-            spin = [float(v) for v in spin]
+        """Sample from each CPU's busy and spin fractions of the last
+        tick (lists of floats indexed by cpu id)."""
         clusters = self.topology.clusters
         per_cluster = [0.0] * len(clusters)
         # Each cluster's c_dyn * f * V^2 once per sample, evaluated left
@@ -146,6 +119,6 @@ class PowerModel:
 
     def max_package_w(self) -> float:
         """Upper bound: every core busy at max frequency."""
-        states = [CorePowerState(busy_frac=1.0) for _ in self.topology.cores]
+        n = self.topology.n_cpus
         freqs = [cl.ctype.max_freq_mhz for cl in self.topology.clusters]
-        return self.sample(states, freqs).package_w
+        return self.sample_activity([1.0] * n, [0.0] * n, freqs).package_w

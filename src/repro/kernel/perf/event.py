@@ -16,7 +16,7 @@ times let userspace scale the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from repro.checkpoint.surface import register_global_counter, snapshot_surface
 from repro.hw.coretype import ArchEvent
 from repro.kernel.perf.attr import PerfEventAttr, ReadFormat
 from repro.kernel.perf.pmu import KernelPmu, PmuKind
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.task import SimThread
 
 # Event ids are allocated from a plain module global (not an
 # ``itertools.count``) so checkpoints can capture and rewind it: events

@@ -6,9 +6,6 @@ import enum
 
 PAPI_OK = 0
 
-#: PAPI preset ids live above this bit, as in papi.h.
-PAPI_PRESET_MASK = 0x80000000
-
 
 class PapiErrorCode(enum.IntEnum):
     """Error returns, matching papi.h values."""
@@ -38,22 +35,6 @@ class PapiState(enum.Flag):
 
     STOPPED = enum.auto()
     RUNNING = enum.auto()
-
-
-class PresetId(enum.IntEnum):
-    """Preset event identifiers (PAPI_PRESET_MASK | index)."""
-
-    PAPI_TOT_INS = PAPI_PRESET_MASK | 0x32
-    PAPI_TOT_CYC = PAPI_PRESET_MASK | 0x3B
-    PAPI_REF_CYC = PAPI_PRESET_MASK | 0x6B
-    PAPI_FP_OPS = PAPI_PRESET_MASK | 0x66
-    PAPI_BR_INS = PAPI_PRESET_MASK | 0x37
-    PAPI_BR_MSP = PAPI_PRESET_MASK | 0x2E
-    PAPI_L3_TCA = PAPI_PRESET_MASK | 0x0E
-    PAPI_L3_TCM = PAPI_PRESET_MASK | 0x08
-    PAPI_L2_TCA = PAPI_PRESET_MASK | 0x0D
-    PAPI_L2_TCM = PAPI_PRESET_MASK | 0x07
-    PAPI_RES_STL = PAPI_PRESET_MASK | 0x39
 
 
 #: Preset name -> native event string per pfm PMU family.  A preset is

@@ -37,7 +37,9 @@ Two interchangeable engines drive the loop (``Machine(engine=...)``):
   guards into a queue of pending events (phase change, mux rotation,
   wake-up, timed fault, overflow crossing) and leap straight to the
   earliest one, plus sticky-placement scheduling reuse and adaptive
-  record back-off.
+  record back-off.  ``run_ticks`` and ``run_until_done`` go through its
+  one run loop; any other ``run_until`` condition is opaque and runs
+  plain ticks on both engines.
 * ``"ticks"`` — the plain single-tick loop above; the reference oracle.
 
 Both produce bit-identical state (gated by the engine parity matrix in
@@ -57,13 +59,13 @@ from repro.hw.cache import LlcModel
 from repro.hw.dvfs import DvfsGovernor
 from repro.hw.machines import MachineSpec
 from repro.hw.pmu import CorePmu
-from repro.hw.power import CorePowerState, PowerModel, PowerSample, SPIN_POWER_FRACTION
+from repro.hw.power import PowerModel, PowerSample, SPIN_POWER_FRACTION
 from repro.hw.rapl import RaplPackage
 from repro.hw.thermal import ThermalModel
 from repro.hw.topology import Core
 from repro.kernel.sched import Scheduler
 from repro.sim.clock import SimClock
-from repro.sim.events import AllDone, EventEngine, SchedCache
+from repro.sim.events import AllDone, SchedCache, grid_crossing, run_budget
 from repro.sim.task import ControlOp, Program, SimThread, ThreadState
 from repro.trace.tracer import make_tracer
 from repro.sim.workload import (
@@ -145,7 +147,6 @@ class SimTimeout(RuntimeError):
         "_tid_index",
         "_busy",
         "_spin",
-        "_event_engine",
         "_fastpath_safe_hooks",
     ),
     caches=(
@@ -158,7 +159,6 @@ class SimTimeout(RuntimeError):
     rebuild="_init_snapshot_caches",
     digest_exclude=(
         "engine",
-        "_event_engine",
         "last_checkpoint_path",
         "tracer",
     ),
@@ -231,11 +231,6 @@ class Machine:
         #: Path of the most recent checkpoint of this machine (set by
         #: ``System.save``); surfaced by SimTimeout for diagnosability.
         self.last_checkpoint_path: Optional[str] = None
-
-        if engine == "events":
-            self._event_engine = EventEngine(self)
-        else:
-            self._event_engine = None
 
     def _init_snapshot_caches(self) -> None:
         """(Re)create the cache attributes excluded from snapshots.
@@ -753,8 +748,8 @@ class Machine:
     # -- convenience runners ---------------------------------------------------
 
     def run_ticks(self, n: int) -> None:
-        if self._event_engine is not None:
-            self._event_engine.run_ticks(n)
+        if self.engine == "events":
+            run_budget(self, n)
         else:
             for _ in range(n):
                 self.tick()
@@ -771,13 +766,17 @@ class Machine:
     ) -> bool:
         """Tick until ``cond()`` is true; returns False on timeout.
 
+        ``run_until_done``'s condition leaps under the event engine; any
+        other condition is opaque and runs plain ticks on both engines.
         With ``strict=True`` a timeout raises :class:`SimTimeout` naming
         the unfinished threads (``watch`` if given, else all threads)
         instead of returning a silently discardable ``False``.
         """
         deadline = self.now_s + max_s
-        if self._event_engine is not None:
-            ok = self._event_engine.run_until(cond, deadline)
+        if self.engine == "events" and type(cond) is AllDone:
+            clock = self.clock
+            run_budget(self, grid_crossing(clock.ticks, clock.dt_s, deadline), cond)
+            ok = cond()
         else:
             ok = True
             while not cond():

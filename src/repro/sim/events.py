@@ -49,12 +49,16 @@ event fires on exactly the same tick as the single-tick engine.
 Rate-based bounds (compute, mux, overflow) are shaved by ``_SLACK`` to
 stay provably below the crossing despite float rounding in the replayed
 accumulations; grid-time bounds (wake, fault) are exact.  Opaque
-predicates — spin ``until`` conditions, conditional faults, an opaque
-``run_until`` condition — cannot report a horizon and degrade that span
-to per-tick polling.  ``run_until_done``'s condition (:class:`AllDone`)
-is not opaque: a thread retires only at a phase boundary, so it is
-checked between spans and its deadline is solved on the tick grid like
-a wake time.
+predicates — spin ``until`` conditions, conditional faults — cannot
+report a horizon and degrade that span to per-tick polling.
+
+One loop, :func:`run_budget`, drives every run: it runs a budget of
+ticks.  ``Machine.run_ticks`` hands it a tick count;
+``run_until_done`` hands it the ticks to its deadline, solved on the
+tick grid like a wake time (:func:`grid_crossing`), with its condition
+(:class:`AllDone`), which the loop checks between spans — a thread
+retires only at a phase boundary, so the condition cannot change inside
+one.  Any other ``run_until`` condition is opaque and runs plain ticks.
 
 A leap (:meth:`_Span.leap`) costs one pass per target, not one
 operation per target per tick.  It first steps the hardware recurrences
@@ -81,7 +85,8 @@ further optimizations are invisible to the digest law:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -107,6 +112,12 @@ _SLACK = 1e-6
 #: Cap on a single guard-free leap (keeps the ``_SLACK`` safety argument
 #: valid for astronomically long horizons; the span just leaps again).
 _MAX_LEAP = 10 ** 9
+
+#: Tick distance from which :func:`grid_crossing` reports "never"
+#: (``math.inf``).  No run gets this far (35,000 years of simulated time
+#: at a 1 ms tick), and below it the float estimate of a crossing is
+#: provably within the solver's two-tick margin.
+_NEVER = 2 ** 50
 
 #: Shortest leap applied as one bulk block; shorter ones replay their
 #: ticks with plain adds, which is cheaper than setting up the block.
@@ -268,6 +279,23 @@ class TickRecorder:
             and self.freq_before is not None
             and self.freq_before == self.freq_after
         )
+
+
+def grid_crossing(ticks: int, dt: float, t: float):
+    """Smallest ``j >= 0`` with ``(ticks + j) * dt >= t``.
+
+    That is the exact expression a wake or deadline check evaluates
+    (``now_s`` is ``ticks * dt``), so the returned tick matches per-tick
+    polling bit for bit.  A crossing ``_NEVER`` or more ticks away — an
+    infinite or NaN ``t`` among them — is ``math.inf``.
+    """
+    j = (t - ticks * dt) / dt
+    if not j < _NEVER:
+        return math.inf
+    j = int(j) - 2 if j > 2 else 0
+    while (ticks + j) * dt < t:
+        j += 1
+    return j
 
 
 def _replay_tick(vecs, cells, chains) -> None:
@@ -538,25 +566,6 @@ class _Span:
 
     # -- the pending-event queue --------------------------------------------
 
-    def _wake_crossing(self, wake: float) -> int:
-        """Smallest j >= 0 with ``(ticks+j)*dt >= wake`` — the exact
-        expression the wake guard evaluates (``now_s`` is ``ticks*dt``),
-        so the returned tick index matches per-tick polling bit-for-bit.
-        Capped at ``_MAX_LEAP``.
-        """
-        clock = self.m.clock
-        dt = clock.dt_s
-        ticks0 = clock.ticks
-        j = (wake - clock.now_s) / dt
-        if j > _MAX_LEAP:
-            return _MAX_LEAP  # also an infinite deadline
-        j = int(j) - 2
-        if j < 0:
-            j = 0
-        while (ticks0 + j) * dt < wake:
-            j += 1
-        return j
-
     def _due_crossing(self, at_s: float) -> int:
         """Smallest j >= 0 where the time guard fires: the exact float
         expression ``at_s <= now + dt + eps`` the guard evaluates."""
@@ -609,11 +618,12 @@ class _Span:
                 nearest = k
 
         # Thread wake-ups: exact tick-grid crossing of the wake time.
+        clock = self.m.clock
         for t, _phase in rec.blocked:
             wake = t.wake_at_s
             if wake is None:
                 continue  # sleeps forever (no until: caller's choice)
-            k = self._wake_crossing(wake)
+            k = grid_crossing(clock.ticks, clock.dt_s, wake)
             if nearest is None or k < nearest:
                 nearest = k
 
@@ -646,9 +656,9 @@ class _Span:
             nearest = _MAX_LEAP
         return nearest
 
-    # -- span drivers --------------------------------------------------------
+    # -- span driver ---------------------------------------------------------
 
-    def drive(self, left: int) -> int:
+    def drive(self, left: float) -> float:
         """Replay up to ``left`` ticks; returns the ticks still owed."""
         while left > 0 and not self.ended:
             k = 0 if self.polling else self.horizon()
@@ -662,33 +672,14 @@ class _Span:
             left -= self.leap(k)
         return left
 
-    def drive_until(self, cond, deadline: float) -> None:
-        """Replay while the caller's opaque ``cond`` is false.  It is
-        polled before every tick, so the span leaps one tick at a time;
-        guards are polled only where the event queue says one may fire."""
-        clock = self.m.clock
-        free = 0  # guard-free ticks left before the next horizon
-        while not cond() and clock.now_s < deadline:
-            if free > 0:
-                free -= 1
-            else:
-                k = 0 if self.polling else self.horizon()
-                if k is None or k > 0:
-                    free = (_MAX_LEAP if k is None else k) - 1
-                elif not self.guards_hold():
-                    return
-            self.leap(1)
-            if self.ended:
-                return
-
 
 class AllDone:
     """``Machine.run_until_done``'s condition: every watched thread is done.
 
     Unlike an opaque predicate it cannot change inside a span: a thread
-    retires only at a phase boundary, which kills the recorder.  The
-    event engine therefore checks it between spans and lets each span
-    leap straight to the deadline.
+    retires only at a phase boundary, which kills the recorder.
+    :func:`run_budget` therefore checks it between spans and lets each
+    span leap straight to the deadline.
     """
 
     __slots__ = ("threads",)
@@ -792,86 +783,50 @@ class SchedCache:
         self.valid = True
 
 
-class EventEngine:
-    """Routes ``run_ticks``/``run_until`` through recorded spans."""
+def _record_ok(m: "Machine") -> bool:
+    sched = m.scheduler
+    return (
+        sched.migrate_jitter == 0.0
+        and sched.rebalance_jitter == 0.0
+        and m.hooks_fastpath_safe()
+    )
 
-    def __init__(self, machine: "Machine"):
-        self.m = machine
 
-    def _record_ok(self) -> bool:
-        m = self.m
-        sched = m.scheduler
-        return (
-            sched.migrate_jitter == 0.0
-            and sched.rebalance_jitter == 0.0
-            and m.hooks_fastpath_safe()
-        )
+def run_budget(m: "Machine", left: float, done: Optional[AllDone] = None) -> None:
+    """Run ``left`` ticks (``math.inf``: no limit), stopping early, between
+    spans, once ``done()`` holds.
 
-    def _recorded_tick(self) -> TickRecorder:
-        """Run one full tick with a recorder attached."""
-        m = self.m
-        rec = TickRecorder()
-        m._rec = rec
-        try:
+    A tick runs with a recorder attached when recording is safe (no
+    scheduler jitter, only recorder-visible hooks), at least two ticks
+    remain and no back-off is pending; a steady recording drives a
+    :class:`_Span` over the rest of the budget.  After a killed recorder
+    the loop runs a doubling count of plain ticks, capped at
+    ``_BACKOFF_CAP``, before it records again.
+    """
+    record_ok = _record_ok(m)
+    backoff = 0
+    penalty = 1
+    while left > 0:
+        if done is not None and done():
+            return
+        if left >= 2 and record_ok and backoff == 0:
+            rec = m._rec = TickRecorder()
+            try:
+                m.tick()
+            finally:
+                m._rec = None
+            left -= 1
+            if not rec.steady():
+                # Hooks can be registered from inside control ops.
+                record_ok = _record_ok(m)
+                backoff = penalty
+                if penalty < _BACKOFF_CAP:
+                    penalty *= 2
+                continue
+            penalty = 1
+            left = _Span(m, rec).drive(left)
+        else:
             m.tick()
-        finally:
-            m._rec = None
-        return rec
-
-    def run_ticks(self, n: int) -> None:
-        m = self.m
-        left = n
-        record_ok = self._record_ok()
-        backoff = 0
-        penalty = 1
-        while left > 0:
-            if left >= 2 and record_ok and backoff == 0:
-                rec = self._recorded_tick()
-                left -= 1
-                if not rec.steady():
-                    # Hooks can be registered from inside control ops.
-                    record_ok = self._record_ok()
-                    backoff = penalty
-                    if penalty < _BACKOFF_CAP:
-                        penalty *= 2
-                    continue
-                penalty = 1
-                left = _Span(m, rec).drive(left)
-            else:
-                m.tick()
-                left -= 1
-                if backoff > 0:
-                    backoff -= 1
-
-    def run_until(self, cond, deadline: float) -> bool:
-        m = self.m
-        clock = m.clock
-        # ``run_until_done``'s condition holds still inside a span, so
-        # its spans leap to the deadline, solved on the tick grid like a
-        # wake time; an opaque condition is polled before every tick.
-        opaque = type(cond) is not AllDone
-        record_ok = self._record_ok()
-        backoff = 0
-        penalty = 1
-        while not cond():
-            if clock.now_s >= deadline:
-                return False
-            if record_ok and backoff == 0:
-                rec = self._recorded_tick()
-                if not rec.steady():
-                    record_ok = self._record_ok()
-                    backoff = penalty
-                    if penalty < _BACKOFF_CAP:
-                        penalty *= 2
-                    continue
-                penalty = 1
-                span = _Span(m, rec)
-                if opaque:
-                    span.drive_until(cond, deadline)
-                else:
-                    span.drive(span._wake_crossing(deadline))
-            else:
-                m.tick()
-                if backoff > 0:
-                    backoff -= 1
-        return True
+            left -= 1
+            if backoff > 0:
+                backoff -= 1

@@ -2,12 +2,12 @@
 
 A :class:`SimThread` executes phases delivered by a *work source* — any
 object with ``next_phase(thread)`` returning the next
-:class:`~repro.sim.workload.WorkPhase` or ``None`` when the thread is
-finished.  :class:`Program` is the common source: an ordered list of
-phases interleaved with :class:`ControlOp` callables that run
-instantaneously at phase boundaries (this is how measured applications
-make PAPI calls "from inside" the simulation, with the call overhead
-injected back as extra instructions).
+:class:`~repro.sim.workload.WorkPhase` (or :class:`ControlOp`) or
+``None`` when the thread is finished.  :class:`Program` is the common
+source: an ordered list of phases interleaved with :class:`ControlOp`
+callables that run instantaneously at phase boundaries (this is how
+measured applications make PAPI calls "from inside" the simulation, with
+the call overhead injected back as extra instructions).
 """
 
 from __future__ import annotations
@@ -35,13 +35,6 @@ class ThreadState(enum.Enum):
 #: branchy, cache-resident).
 OVERHEAD_RATES = PhaseRates(ipc=1.6, branches_per_instr=0.2, branch_miss_rate=0.02)
 
-#: Per-class memo of which work-source protocol applies (``next_item``
-#: vs ``next_phase``).  The protocol is defined by the source's class,
-#: so probing with ``hasattr`` — a raised-and-caught AttributeError on
-#: every miss — is paid once per class, not once per phase boundary.
-_SOURCE_HAS_NEXT_ITEM: dict[type, bool] = {}
-
-
 class ControlOp:
     """An instantaneous action at a phase boundary (e.g. a PAPI call)."""
 
@@ -58,7 +51,7 @@ class Program:
     def __init__(self, items: Iterable[WorkPhase | ControlOp]):
         self._items = deque(items)
 
-    def next_item(self) -> WorkPhase | ControlOp | None:
+    def next_phase(self, thread: SimThread) -> WorkPhase | ControlOp | None:
         return self._items.popleft() if self._items else None
 
     def extend(self, items: Iterable[WorkPhase | ControlOp]) -> None:
@@ -146,15 +139,7 @@ class SimThread:
     def take_next(self) -> WorkPhase | ControlOp | None:
         if self._injected:
             return self._injected.popleft()
-        source = self.source
-        cls = type(source)
-        has_item = _SOURCE_HAS_NEXT_ITEM.get(cls)
-        if has_item is None:
-            has_item = hasattr(source, "next_item")
-            _SOURCE_HAS_NEXT_ITEM[cls] = has_item
-        if has_item:
-            return source.next_item()
-        return source.next_phase(self)
+        return self.source.next_phase(self)
 
     # -- accounting --------------------------------------------------------
 

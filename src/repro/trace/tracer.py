@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.checkpoint.surface import snapshot_surface
 

@@ -443,27 +443,6 @@ class TestForkSafety:
         )
         assert result.new_findings == []
 
-    def test_spawn_while_holding_a_lock(self, tmp_path):
-        result = lint_many(
-            tmp_path,
-            {
-                "src/repro/supervisor/pool.py": """
-                import subprocess
-
-
-                class Pool:
-                    def launch(self, cmd):
-                        with self._lock:
-                            return subprocess.Popen(
-                                cmd, start_new_session=True
-                            )
-                """
-            },
-            only=["FORK-SAFETY"],
-        )
-        assert rule_ids(result) == ["FORK-SAFETY"]
-        assert "holding" in result.new_findings[0].message
-
 
 class TestSignalSafety:
     def test_logging_handler_is_flagged_transitively(self, tmp_path):

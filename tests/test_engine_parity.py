@@ -74,10 +74,11 @@ def _assert_threads_identical(threads_ref, threads_other):
 def _assert_systems_identical(*systems):
     """The tight form: one digest over the full snapshot surface.
 
-    ``engine`` selection and engine internals are declared
-    ``digest_exclude`` by the Machine's snapshot surface, so both engines
-    must digest equal — everything else (counters, clocks, RNGs,
-    energies, sample buffers) is covered with zero tolerance.
+    ``engine`` selection is declared ``digest_exclude`` and the engine's
+    internals (tick recorder, placement cache) are snapshot caches on the
+    Machine's surface, so both engines must digest equal — everything
+    else (counters, clocks, RNGs, energies, sample buffers) is covered
+    with zero tolerance.
     """
     digests = [s.state_digest() for s in systems]
     assert len(set(digests)) == 1, (
@@ -149,6 +150,42 @@ class TestSteadyScenarios:
         real, ticks = _replayed(se.machine, lambda: se.machine.run_ticks(3000))
         assert ticks == 3000
         assert real < 100  # the vast majority of ticks were replayed
+        _assert_systems_identical(ss, se)
+
+    def test_run_until_done_without_deadline(self, monkeypatch):
+        """``max_s=inf`` is an unlimited budget, not one capped leap: with
+        leaps capped far below the run's length, the event engine still
+        leaps and finishes on the reference's tick."""
+        from repro.sim import events
+
+        monkeypatch.setattr(events, "_MAX_LEAP", 64)
+
+        def build(system):
+            rates = constant_rates(RATES)
+            t = system.machine.spawn(
+                SimThread(
+                    "w",
+                    Program(
+                        [
+                            ComputePhase(5e10, rates),
+                            SleepPhase(duration_s=0.5),
+                            ComputePhase(2e10, rates),
+                        ]
+                    ),
+                )
+            )
+            machine = system.machine
+            ok = []
+            real, ticks = _replayed(
+                machine,
+                lambda: ok.append(machine.run_until_done([t], max_s=float("inf"))),
+            )
+            assert ok == [True]
+            return ticks, real
+
+        (ss, (ticks_s, _)), (se, (ticks_e, real_e)) = _run_matrix(build, dt_s=0.01)
+        assert ticks_s == ticks_e
+        assert real_e < ticks_e // 10
         _assert_systems_identical(ss, se)
 
     def test_run_until_cooldown_parity(self):

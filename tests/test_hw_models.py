@@ -5,7 +5,7 @@ import pytest
 from repro.hw.cache import LlcModel, memory_stall_cycles
 from repro.hw.dvfs import DvfsGovernor
 from repro.hw.machines import orangepi_800, raptor_lake_i7_13700, _raptor_cove
-from repro.hw.power import CorePowerState, PowerModel
+from repro.hw.power import PowerModel
 from repro.hw.rapl import ENERGY_UNIT_J, RaplDomain, RaplPackage
 from repro.hw.thermal import ThermalModel
 
@@ -76,9 +76,9 @@ class TestPower:
     def test_idle_power_is_base(self):
         spec = raptor_lake_i7_13700()
         model = PowerModel(spec)
-        states = [CorePowerState() for _ in spec.topology.cores]
+        idle = [0.0] * spec.topology.n_cpus
         freqs = [cl.ctype.min_freq_mhz for cl in spec.topology.clusters]
-        s = model.sample(states, freqs)
+        s = model.sample_activity(idle, idle, freqs)
         # Idle: leakage + uncore only; far below the PL1 limit.
         assert s.package_w < 15.0
         assert s.dram_w == 0.0
@@ -92,14 +92,10 @@ class TestPower:
         spec = raptor_lake_i7_13700()
         model = PowerModel(spec)
         freqs = [cl.ctype.max_freq_mhz for cl in spec.topology.clusters]
-        busy = [CorePowerState(busy_frac=1.0) for _ in spec.topology.cores]
-        spin = [CorePowerState(spin_frac=1.0) for _ in spec.topology.cores]
-        assert model.sample(spin, freqs).package_w < model.sample(busy, freqs).package_w
-
-    def test_state_length_validated(self):
-        model = PowerModel(raptor_lake_i7_13700())
-        with pytest.raises(ValueError):
-            model.sample([CorePowerState()], [5100, 4100])
+        full = [1.0] * spec.topology.n_cpus
+        idle = [0.0] * spec.topology.n_cpus
+        spinning = model.sample_activity(idle, full, freqs).package_w
+        assert spinning < model.sample_activity(full, idle, freqs).package_w
 
 
 # ---------------------------------------------------------------- thermal

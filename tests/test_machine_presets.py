@@ -7,7 +7,7 @@ experiments rely on.
 import pytest
 
 from repro.hw.machines import MACHINE_PRESETS
-from repro.hw.power import CorePowerState, PowerModel
+from repro.hw.power import PowerModel
 from repro.hw.thermal import ThermalModel
 from repro.system import System
 
@@ -47,8 +47,10 @@ class TestPresetInvariants:
 
     def test_thermal_budget_above_idle(self, spec):
         tm = ThermalModel(spec)
-        idle_w = PowerModel(spec).sample(
-            [CorePowerState() for _ in spec.topology.cores],
+        idle = [0.0] * spec.topology.n_cpus
+        idle_w = PowerModel(spec).sample_activity(
+            idle,
+            idle,
             [cl.ctype.min_freq_mhz for cl in spec.topology.clusters],
         ).package_w
         assert tm.sustainable_power_w > idle_w

@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.hpl import HplConfig, hpl_flops, hpl_steps
@@ -158,6 +160,41 @@ def test_coordinator_conserves_update_work(n, threads, variant):
 
 
 # --------------------------------------------------------------- engine
+
+@settings(max_examples=500)
+@given(
+    ticks=st.integers(min_value=0, max_value=10**9),
+    dt=st.sampled_from([1e-4, 0.01, 0.02, 1 / 3]),
+    k=st.integers(min_value=-3, max_value=10**7),
+    frac=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+    ulps=st.integers(min_value=-2, max_value=2),
+)
+# On-grid times whose float estimate lands just above the crossing tick.
+@example(ticks=1, dt=1 / 3, k=2, frac=0.0, ulps=0)
+@example(ticks=0, dt=0.01, k=901855, frac=0.0, ulps=0)
+def test_grid_crossing_is_the_first_tick_at_or_past_t(ticks, dt, k, frac, ulps):
+    """The tick-grid solver returns the smallest ``j`` whose ``now_s``
+    reaches ``t``, by the float expression a per-tick check evaluates —
+    also for ``t`` on the grid or an ulp or two either side of it."""
+    from repro.sim.events import grid_crossing
+
+    t = (ticks + k + frac) * dt
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    j = grid_crossing(ticks, dt, t)
+    assert j >= 0
+    assert (ticks + j) * dt >= t
+    assert j == 0 or (ticks + j - 1) * dt < t
+
+
+def test_grid_crossing_never_reached():
+    from repro.sim.events import grid_crossing
+
+    assert grid_crossing(7, 0.01, math.inf) == math.inf
+    assert grid_crossing(7, 0.01, math.nan) == math.inf
+    assert grid_crossing(7, 0.01, 1e300) == math.inf
+    assert grid_crossing(7, 0.01, -math.inf) == 0
+
 
 @SLOW
 @given(

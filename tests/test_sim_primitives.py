@@ -63,14 +63,15 @@ class TestProgram:
         phases = [ComputePhase(1, RATES), ControlOp(lambda t: None), ComputePhase(2, RATES)]
         prog = Program(phases)
         assert len(prog) == 3
-        assert [prog.next_item() for _ in range(3)] == phases
-        assert prog.next_item() is None
+        t = SimThread("x", prog)
+        assert [prog.next_phase(t) for _ in range(3)] == phases
+        assert prog.next_phase(t) is None
 
     def test_extend(self):
         prog = Program([])
         extra = ComputePhase(1, RATES)
         prog.extend([extra])
-        assert prog.next_item() is extra
+        assert prog.next_phase(SimThread("x", prog)) is extra
 
 
 class TestSimThread:
