@@ -36,7 +36,7 @@ from repro.checkpoint.digest import DIGEST_ALGO
 from repro.checkpoint.surface import GLOBAL_COUNTERS
 
 MAGIC = b"REPRO-SNAPSHOT\n"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(RuntimeError):

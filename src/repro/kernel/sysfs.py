@@ -17,13 +17,16 @@ core types is materialized here:
   default to match reality.
 
 Files are dynamic: reading ``scaling_cur_freq`` reflects the DVFS state
-at read time.
+at read time.  The tree itself is only a view of the machine, built on
+first use: a snapshot carries the machine, not the tree's few hundred
+provider closures, and a restored ``SysFs`` builds its tree again.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.checkpoint.surface import snapshot_surface
 from repro.hw.sensor import SensorReadError
 from repro.kernel.errno import Errno, KernelError, KernelFileNotFound
 from repro.kernel.sched.affinity import format_cpu_list
@@ -36,6 +39,19 @@ Provider = Callable[[], str]
 Writer = Callable[[str], None]
 
 
+@snapshot_surface(
+    state=("machine", "perf", "expose_cpu_types"),
+    caches=("_files", "_writers"),
+    rebuild="_drop_tree",
+    note=(
+        "The path -> provider tree is derived from the machine's "
+        "topology, spec and PMU registry, all fixed at construction, "
+        "and every dynamic file reads the machine when read.  It is "
+        "built on first use, after a restore too, never while "
+        "unpickling: a payload that reaches the machine first sets "
+        "this object's state before the machine's."
+    ),
+)
 class SysFs:
     """A virtual filesystem of path -> content providers.
 
@@ -55,15 +71,13 @@ class SysFs:
         self.machine = machine
         self.perf = perf
         self.expose_cpu_types = expose_cpu_types
-        self._files: dict[str, Provider] = {}
-        self._writers: dict[str, Writer] = {}
-        self._build()
+        self._drop_tree()
 
     # -- filesystem interface ----------------------------------------------
 
     def read(self, path: str) -> str:
         path = path.rstrip("/")
-        provider = self._files.get(path)
+        provider = self._tree().get(path)
         if provider is None:
             raise KernelFileNotFound(path)
         try:
@@ -75,38 +89,44 @@ class SysFs:
     def write(self, path: str, value: str) -> None:
         """Write to a control file (``echo value > path``)."""
         path = path.rstrip("/")
+        files = self._tree()
         writer = self._writers.get(path)
         if writer is None:
-            if path in self._files:
+            if path in files:
                 raise KernelError(Errno.EPERM, f"read-only file: {path}")
             raise KernelFileNotFound(path)
         writer(value.strip())
 
     def exists(self, path: str) -> bool:
         path = path.rstrip("/")
-        if path in self._files:
+        files = self._tree()
+        if path in files:
             return True
         prefix = path + "/"
-        return any(p.startswith(prefix) for p in self._files)
+        return any(p.startswith(prefix) for p in files)
 
     def listdir(self, path: str) -> list[str]:
         path = path.rstrip("/")
         prefix = path + "/"
+        files = self._tree()
         names = {
             p[len(prefix):].split("/", 1)[0]
-            for p in self._files
+            for p in files
             if p.startswith(prefix)
         }
-        if not names and path not in self._files:
+        if not names and path not in files:
             raise KernelFileNotFound(path)
         return sorted(names)
 
     def add(self, path: str, provider: Provider | str, writer: Optional[Writer] = None) -> None:
+        """Add a file to the tree.  The tree is a cache that a snapshot
+        drops and :meth:`_build` makes again, so a file added from
+        outside the build does not survive a restore."""
         if isinstance(provider, str):
             value = provider
             provider = lambda: value  # noqa: E731
         path = path.rstrip("/")
-        self._files[path] = provider
+        self._tree()[path] = provider
         if writer is not None:
             self._writers[path] = writer
 
@@ -124,7 +144,18 @@ class SysFs:
 
     # -- tree construction ---------------------------------------------------
 
+    def _tree(self) -> dict[str, Provider]:
+        """The path -> provider map, built on first use."""
+        if self._files is None:
+            self._build()
+        return self._files
+
+    def _drop_tree(self) -> None:
+        self._files: Optional[dict[str, Provider]] = None
+
     def _build(self) -> None:
+        self._files = {}
+        self._writers: dict[str, Writer] = {}
         m = self.machine
         topo = m.topology
         spec = m.spec

@@ -145,8 +145,6 @@ class SimTimeout(RuntimeError):
         "tracer",
         "_next_tid",
         "_tid_index",
-        "_busy",
-        "_spin",
         "_fastpath_safe_hooks",
     ),
     caches=(
@@ -225,8 +223,6 @@ class Machine:
         self.last_power: Optional[PowerSample] = None
         # The TSC / architectural timer rate (invariant across the package).
         self.tsc_ghz = self.topology.clusters[-1].ctype.base_freq_mhz / 1000.0
-        self._busy = np.zeros(self.topology.n_cpus, dtype=np.float64)
-        self._spin = np.zeros(self.topology.n_cpus, dtype=np.float64)
         self._init_snapshot_caches()
         #: Path of the most recent checkpoint of this machine (set by
         #: ``System.save``); surfaced by SimTimeout for diagnosability.
@@ -400,8 +396,7 @@ class Machine:
         # 3. Execute.  Per-CPU activity accumulates in plain lists (the
         # values are bit-identical to numpy scalar accumulation; list
         # indexing is what keeps the whole-machine reductions below off
-        # the numpy scalar-boxing path) and lands in the persistent
-        # arrays once per tick.
+        # the numpy scalar-boxing path).
         n_cpus = self.topology.n_cpus
         busy_l = [0.0] * n_cpus
         spin_l = [0.0] * n_cpus
@@ -419,8 +414,6 @@ class Machine:
                 )
                 busy_l[cpu_id] += busy_s / dt
                 spin_l[cpu_id] += spin_s / dt
-        self._busy[:] = busy_l
-        self._spin[:] = spin_l
 
         # 4. Power, energy, thermal.
         sample = self.power_model.sample_activity(

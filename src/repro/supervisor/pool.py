@@ -6,11 +6,12 @@ slot one worker process forked from this (already-imported) process by
 :func:`repro.supervisor.worker.spawn` and leading its **own session**
 (so a kill always takes the whole process group — no zombie children
 surviving a timeout).  Because it forks, the pool must be driven from a
-single-threaded program.  The poll loop then watches every in-flight
-job three ways:
+single-threaded program.  Each :meth:`WorkerPool.step` then watches
+every in-flight job three ways:
 
 * ``os.waitpid`` — **dead** workers are reaped and classified by exit
-  code (negative: killed by that signal);
+  code (negative: killed by that signal), and their slots refilled in
+  the same step;
 * heartbeats — a worker whose **simulated** time stops advancing for
   ``stuck_after_s`` of wall time is **stuck**;
 * the wall deadline — a worker that is progressing but past
@@ -21,12 +22,17 @@ crashed attempt: from the last checkpoint, with the attempt and backoff
 state carried over.  Every slot is the same forked process on the same
 host, so a slot number is only a label in the journal.
 
+Between steps, :meth:`WorkerPool.wait` blocks until a worker exits
+(watched through a pidfd), the earliest queued run comes due, or the
+caller's liveness interval passes, so a freed slot is refilled as soon
+as a run is ready for it.  Where pidfds are unavailable it reports so
+at once, and the caller paces by plain sleeps.
+
 Retries are scheduled, not slept: each failed attempt computes a
 deterministic backoff (exponential base with seedable jitter, see
 :func:`backoff_delay`) and re-enters the ready queue with a not-before
-time on the injected ``clock``.  Tests inject a fake clock (and the
-supervisor a matching fake sleep), so no unit test ever calls
-``time.sleep`` for real.
+time on the injected ``clock``.  A test can drive the whole schedule on
+a fake clock whose injected sleep advances it, in zero wall time.
 
 On ``request_drain()`` (wired to SIGTERM by ``tools/sweep.py``) the pool
 stops admitting, SIGTERMs in-flight workers — they checkpoint and exit
@@ -40,6 +46,7 @@ import heapq
 import json
 import os
 import random
+import select
 import signal
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -201,22 +208,13 @@ class WorkerPool:
             self._seq += 1
 
     def step(self) -> bool:
-        """One scheduling round: admit ready runs into free slots, reap
-        dead workers, enforce liveness, drive a drain.  Never sleeps —
-        the caller owns pacing.  Returns :attr:`busy`."""
+        """One scheduling round: reap dead workers, enforce liveness,
+        admit ready runs into the free slots, drive a drain.  Never
+        blocks — :meth:`wait` does.  Returns :attr:`busy`."""
         if self._drain_unannounced:
             self._drain_unannounced = False
             self.log("[fleet] drain requested: no new runs will start")
         now = self.clock()
-        if not self._draining:
-            while self._free_slots and self._queue and self._queue[0][0] <= now:
-                _, _, record = heapq.heappop(self._queue)
-                slot = min(self._free_slots)
-                self._free_slots.remove(slot)
-                self._jobs[slot] = self._launch(record, slot, now)
-        self.metrics.gauge("fleet.queue_depth", value=float(self.queue_depth))
-        self.metrics.gauge("fleet.in_flight", value=float(len(self._jobs)))
-
         for slot in sorted(self._jobs):
             job = self._jobs[slot]
             pid, status = os.waitpid(job.pid, os.WNOHANG)
@@ -233,9 +231,45 @@ class WorkerPool:
                 self._free_slots.append(slot)
                 self._finish_killed(job, verdict, now)
 
+        if not self._draining:
+            while self._free_slots and self._queue and self._queue[0][0] <= now:
+                _, _, record = heapq.heappop(self._queue)
+                slot = min(self._free_slots)
+                self._free_slots.remove(slot)
+                self._jobs[slot] = self._launch(record, slot, now)
+        self.metrics.gauge("fleet.queue_depth", value=float(self.queue_depth))
+        self.metrics.gauge("fleet.in_flight", value=float(len(self._jobs)))
+
         if self._draining and self._jobs:
             self._drive_drain(self._jobs, now)
         return self.busy
+
+    def wait(self, timeout_s: float) -> bool:
+        """Block until an in-flight worker exits, the earliest queued run
+        may launch, or ``timeout_s`` passes, whichever is first.
+
+        Each worker is watched through a pidfd opened for this wait
+        alone: it turns readable once the worker exits and stays so
+        until the next :meth:`step` reaps it, and no descriptor outlives
+        the call (nor reaches a worker forked later).  Returns False at
+        once where pidfds are unavailable (non-Linux, or refused by a
+        seccomp filter); the caller then paces by sleeping."""
+        if self._queue and self._free_slots and not self._draining:
+            timeout_s = min(timeout_s, max(0.0, self._queue[0][0] - self.clock()))
+        fds: list[int] = []
+        try:
+            for job in self._jobs.values():
+                fds.append(os.pidfd_open(job.pid))
+            poller = select.poll()
+            for fd in fds:
+                poller.register(fd, select.POLLIN)
+            poller.poll(timeout_s * 1000.0)
+            return True
+        except (AttributeError, OSError):
+            return False
+        finally:
+            for fd in fds:
+                os.close(fd)
 
     # -- launch --------------------------------------------------------------
 

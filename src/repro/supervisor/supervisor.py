@@ -57,7 +57,11 @@ from repro.trace.tracer import MetricsRegistry
 
 __all__ = ["RunSpec", "Supervisor"]
 
-#: Wall seconds between two pool scheduling rounds.
+#: Longest wall wait between two pool scheduling rounds: it bounds how
+#: late a liveness check or a drain request is acted on.  A worker's
+#: exit ends the wait at once (:meth:`WorkerPool.wait`); only where
+#: that cannot be watched, or a test injects ``sleep``, is every wait
+#: this long.
 POLL_INTERVAL_S = 0.02
 
 
@@ -138,6 +142,8 @@ class Supervisor:
             self.manifest.save()
             self._admit(plan)
             while self.pool.step():
+                if self.sleep is time.sleep and self.pool.wait(POLL_INTERVAL_S):
+                    continue
                 self.sleep(POLL_INTERVAL_S)
         finally:
             manifest = self._close()

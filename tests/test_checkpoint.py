@@ -338,6 +338,7 @@ class TestSurfaceRegistry:
             "ThermalModel",
             "RaplPackage",
             "PowerModel",
+            "SysFs",
             "Tracer",
             "TraceConfig",
             "MetricsRegistry",
@@ -352,3 +353,49 @@ class TestSurfaceRegistry:
         restored = System.restore(path)
         assert restored.machine._rate_vecs_by_id == {}
         assert restored.machine._rec is None
+
+    @pytest.mark.parametrize("order", [("system", "papi"), ("papi", "system")])
+    def test_sysfs_tree_rebuilt_on_the_restored_machine(self, tmp_path, order):
+        """The /sys tree is a cache: a snapshot carries none of its
+        provider closures, and the rebuilt tree reads and writes the
+        restored machine, whichever object the payload reaches first,
+        with a PAPI overflow drain hook among the machine's tick hooks."""
+        from repro.papi import Papi
+
+        system = System(MACHINE, dt_s=0.01)
+        papi = Papi(system)
+        es = papi.create_eventset()
+        papi.attach(es, _spawn_workload(system))
+        papi.add_event(es, "adl_glc::INST_RETIRED:ANY")
+        papi.overflow(es, "adl_glc::INST_RETIRED:ANY", 10**8, lambda esid, s: None)
+        papi.start(es)
+        system.machine.run_for(0.05)
+        assert set(system.sysfs.__getstate__()) == {
+            "machine",
+            "perf",
+            "expose_cpu_types",
+        }
+
+        objects = {"system": system, "papi": papi}
+        path = str(tmp_path / "s.snap")
+        save_object({name: objects[name] for name in order}, path)
+        restored = load_object(path)
+        s2 = restored["system"]
+        m2 = s2.machine
+        assert restored["papi"].system is s2
+        m2.run_for(0.05)  # only the restored machine moves on
+
+        cur_freq = "/sys/devices/system/cpu/cpu{}/cpufreq/scaling_cur_freq"
+        for cpu in (0, s2.topology.cpus_of_type("E-core")[0]):
+            assert s2.sysfs.read(cur_freq.format(cpu)) == str(
+                round(m2.governor.freq_of_cpu_mhz(cpu) * 1000)
+            )
+        temp = f"/sys/class/thermal/thermal_zone{s2.spec.thermal_zone_index}/temp"
+        assert s2.sysfs.read(temp) == str(m2.thermal.zone.read_millic())
+        energy = "/sys/class/powercap/intel-rapl/intel-rapl:0/energy_uj"
+        assert s2.sysfs.read(energy) == str(m2.rapl.package.read_uj())
+        assert int(s2.sysfs.read(energy)) > int(system.sysfs.read(energy))
+
+        s2.sysfs.write("/sys/devices/system/cpu/cpu5/online", "0")
+        assert 5 in s2.topology.offline_cpus()
+        assert 5 not in system.topology.offline_cpus()

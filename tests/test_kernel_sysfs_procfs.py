@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.checkpoint import load_object, save_object
 from repro.hw.machines import orangepi_800
 from repro.kernel.sched.affinity import parse_cpu_list
+from repro.monitor.sampler import Sampler
+from repro.sim.workload import ComputePhase, PhaseRates, constant_rates
 from repro.system import System
 
 
@@ -112,6 +115,41 @@ class TestThermalAndPowercap:
         assert not orangepi.sysfs.exists(
             "/sys/class/powercap/intel-rapl/intel-rapl:0/energy_uj"
         )
+
+
+def _read_tree(sysfs, path="/sys"):
+    """Every file under ``path`` and what it reads, found by listdir."""
+    files = {}
+    for name in sysfs.listdir(path):
+        child = f"{path}/{name}"
+        if sysfs.listdir(child):
+            files.update(_read_tree(sysfs, child))
+        else:
+            files[child] = sysfs.read(child)
+    return files
+
+
+class TestSysfsRestore:
+    @pytest.mark.parametrize("preset", ["raptor-lake-i7-13700", "orangepi-800"])
+    def test_restored_tree_reads_as_the_original(self, tmp_path, preset):
+        """A snapshot drops the tree and a restore rebuilds it on first
+        use, so the restored /sys lists and reads as the original did,
+        also from a payload that reaches the machine before its system:
+        the sampler's tick hook leads from the machine to the system, so
+        unpickling sets the SysFs state before the machine's."""
+        system = System(preset, dt_s=0.01)
+        system.machine.spawn_program(
+            "w", [ComputePhase(1e9, constant_rates(PhaseRates(ipc=2.0)))]
+        )
+        Sampler(system, period_s=0.01).start()
+        system.machine.run_for(0.05)
+        path = str(tmp_path / "s.snap")
+        save_object({"machine": system.machine, "system": system}, path)
+        restored = load_object(path)
+        assert restored["system"].machine is restored["machine"]
+        tree = _read_tree(restored["system"].sysfs)
+        assert len(tree) > 100
+        assert tree == _read_tree(system.sysfs)
 
 
 class TestProcfs:

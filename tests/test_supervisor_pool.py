@@ -1,4 +1,4 @@
-"""Worker pool: backoff, concurrency, liveness kills, drain.
+"""Worker pool: backoff, concurrency, liveness kills, drain, the wait.
 
 Backoff tests drive the pool on an injected fake clock/sleep pair — no
 real ``time.sleep`` anywhere in the scheduling path.  Liveness tests use
@@ -11,6 +11,7 @@ thread is alive when the pool forks.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -18,6 +19,9 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+import repro.supervisor.supervisor as supervisor_module
 from repro.checkpoint.snapshot import read_header
 from repro.checkpoint.surface import global_counter_state, set_global_counter_state
 from repro.supervisor import (
@@ -408,3 +412,109 @@ class TestDrain:
         launches = _journal_events(sup2, "launch")
         assert launches[-1]["resume_from"]  # continued from the checkpoint
         assert _result(sup2, "big")["state_digest"] == digest
+
+
+def _pidfds_work() -> bool:
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+class TestWait:
+    @pytest.mark.skipif(not _pidfds_work(), reason="no pidfds on this host")
+    def test_a_worker_exit_ends_the_wait(self, tmp_path, monkeypatch):
+        """With the liveness interval at 5 s, three one-slot runs in a
+        row finish inside one interval: each exit wakes the loop, which
+        refills the slot before waiting again.  A loop that slept the
+        interval out would need at least 15 s."""
+        monkeypatch.setattr(supervisor_module, "POLL_INTERVAL_S", 5.0)
+        sup = Supervisor(
+            str(tmp_path / "sweep"),
+            checkpoint_every_s=0.04,
+            workers=1,
+            log=lambda m: None,
+        )
+        specs = [
+            RunSpec(f"job{i}", "hpl", dict(HPL_PARAMS, n=800 + 100 * i))
+            for i in range(3)
+        ]
+        t0 = time.monotonic()
+        manifest = sup.run(specs)
+        assert time.monotonic() - t0 < 5.0
+        assert all(rec.status == DONE for rec in manifest.runs.values())
+
+    @pytest.mark.parametrize("pidfds", ["missing", "refused"])
+    def test_without_pidfds_the_sweep_completes_by_polling(
+        self, tmp_path, monkeypatch, pidfds
+    ):
+        """Where ``os.pidfd_open`` does not exist (non-Linux) or raises
+        (a seccomp filter), the loop paces by sleeping and the results
+        are the bytes a pidfd-waiting sweep writes."""
+        spec = RunSpec("point", "hpl", dict(HPL_PARAMS))
+        reference = Supervisor(
+            str(tmp_path / "reference"),
+            checkpoint_every_s=0.04,
+            workers=1,
+            log=lambda m: None,
+        )
+        reference.run([spec])
+
+        refused = []
+        if pidfds == "missing":
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        else:
+
+            def pidfd_open(pid, flags=0):
+                refused.append(pid)
+                raise OSError(errno.EPERM, "pidfd_open refused")
+
+            monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+        sup = Supervisor(
+            str(tmp_path / "sweep"),
+            checkpoint_every_s=0.04,
+            workers=1,
+            log=lambda m: None,
+        )
+        manifest = sup.run([spec])
+        assert manifest.runs["point"].status == DONE
+        assert pidfds == "missing" or refused
+        assert (tmp_path / "sweep" / "point" / "result.json").read_bytes() == (
+            tmp_path / "reference" / "point" / "result.json"
+        ).read_bytes()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd"
+    )
+    def test_no_descriptor_outlives_a_sweep(self, tmp_path):
+        """A crash retry and a stuck kill leave the supervisor holding
+        exactly the descriptors it started with: no pidfd leaks."""
+        before = len(os.listdir("/proc/self/fd"))
+        sup = Supervisor(
+            str(tmp_path / "sweep"),
+            max_attempts=3,
+            backoff_s=0.0,
+            stuck_after_s=0.6,
+            checkpoint_every_s=0.04,
+            workers=2,
+            log=lambda m: None,
+        )
+        manifest = sup.run(
+            [
+                RunSpec(
+                    "crashy",
+                    "hpl",
+                    dict(HPL_PARAMS, crash_at_s=0.08, crash_on_attempts=[1]),
+                ),
+                RunSpec(
+                    "staller",
+                    "hpl",
+                    dict(HPL_PARAMS, stall_at_s=0.08, stall_on_attempts=[1]),
+                ),
+            ]
+        )
+        assert all(rec.status == DONE for rec in manifest.runs.values())
+        assert sup.metrics.counters[("fleet.retry", None)] == 2.0
+        assert sup.metrics.counters[("fleet.liveness_kill", "stuck")] == 1.0
+        assert len(os.listdir("/proc/self/fd")) == before
