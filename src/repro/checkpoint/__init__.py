@@ -8,7 +8,7 @@ are the user-facing entry points; this package provides the machinery:
 
 * :mod:`repro.checkpoint.pickler` — closure-capable serialization;
 * :mod:`repro.checkpoint.surface` — per-layer snapshot-surface
-  declarations (state vs. rebuildable cache) and global counters;
+  declarations (state vs. rebuildable cache);
 * :mod:`repro.checkpoint.snapshot` — the versioned, digest-stamped,
   atomically-written file envelope;
 * :mod:`repro.checkpoint.digest` — canonical deep hashing
@@ -26,16 +26,10 @@ from repro.checkpoint.snapshot import (
     read_header,
     save_object,
 )
-from repro.checkpoint.surface import (
-    GLOBAL_COUNTERS,
-    SNAPSHOT_SURFACES,
-    register_global_counter,
-    snapshot_surface,
-)
+from repro.checkpoint.surface import SNAPSHOT_SURFACES, snapshot_surface
 
 __all__ = [
     "DIGEST_ALGO",
-    "GLOBAL_COUNTERS",
     "SNAPSHOT_SURFACES",
     "SNAPSHOT_VERSION",
     "SnapshotError",
@@ -45,7 +39,6 @@ __all__ = [
     "SnapshotVersionError",
     "load_object",
     "read_header",
-    "register_global_counter",
     "save_object",
     "snapshot_surface",
     "state_digest",

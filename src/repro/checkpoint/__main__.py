@@ -9,9 +9,8 @@
                                                     # the final digest
 
 ``describe`` only reads the header line — safe on snapshots from other
-Python versions.  ``digest`` and ``run`` fully restore the payload (and
-rewind registered global counters), so run them in a fresh process per
-snapshot; ``run`` is what the restore-equivalence tests drive.
+Python versions.  ``digest`` and ``run`` fully restore the payload;
+``run`` is what the restore-equivalence tests drive.
 """
 
 from __future__ import annotations

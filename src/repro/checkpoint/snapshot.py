@@ -4,7 +4,7 @@ Layout of a ``.ckpt`` file::
 
     REPRO-SNAPSHOT\\n               magic
     {header json}\\n                 version, python tag, payload digest,
-                                    global counters, caller metadata
+                                    caller metadata
     <zlib-compressed payload>       SnapshotPickler bytes
 
 The header is plain JSON on the second line so ``tools``/humans can
@@ -33,10 +33,9 @@ from typing import Any, Optional
 
 from repro.checkpoint import pickler
 from repro.checkpoint.digest import DIGEST_ALGO
-from repro.checkpoint.surface import GLOBAL_COUNTERS
 
 MAGIC = b"REPRO-SNAPSHOT\n"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(RuntimeError):
@@ -56,7 +55,7 @@ def _python_tag() -> str:
 
 
 def save_object(obj: Any, path: str, meta: Optional[dict] = None) -> dict:
-    """Serialize ``obj`` (and registered global counters) to ``path``.
+    """Serialize ``obj`` to ``path``.
 
     Returns the written header dict.  The write is atomic.
     """
@@ -67,7 +66,6 @@ def save_object(obj: Any, path: str, meta: Optional[dict] = None) -> dict:
         "digest_algo": DIGEST_ALGO,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload_bytes": len(payload),
-        "globals": {name: get() for name, (get, _set) in GLOBAL_COUNTERS.items()},
         "meta": meta or {},
     }
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -115,15 +113,10 @@ def read_header(path: str) -> dict:
     return header
 
 
-def load_object(path: str, restore_globals: bool = True) -> Any:
-    """Load a snapshot, verifying integrity and version.
-
-    ``restore_globals=True`` (the default) rewinds registered process-
-    global counters (e.g. the perf event-id allocator) to their value at
-    save time — required for bit-identical continuation, but note it
-    affects every `System` in this process, so sweeps restore one run
-    per worker process.
-    """
+def load_object(path: str) -> Any:
+    """Load a snapshot, verifying integrity and version.  Loading
+    touches nothing outside the returned object graph, so any number of
+    snapshots may be restored side by side in one process."""
     header = read_header(path)
     with open(path, "rb") as fh:
         fh.read(len(MAGIC))
@@ -133,10 +126,4 @@ def load_object(path: str, restore_globals: bool = True) -> Any:
         raise SnapshotIntegrityError(
             f"{path}: payload digest mismatch (truncated or corrupt snapshot)"
         )
-    obj = pickler.loads(zlib.decompress(payload))
-    if restore_globals:
-        for name, value in header.get("globals", {}).items():
-            entry = GLOBAL_COUNTERS.get(name)
-            if entry is not None:
-                entry[1](value)
-    return obj
+    return pickler.loads(zlib.decompress(payload))

@@ -9,65 +9,27 @@ and what is merely a rebuildable cache, with the
   entries, live tick recorders).  Dropping them must be *semantically
   free*: the restored object rebuilds them lazily and produces
   bit-identical results.
-* ``rebuild`` — optional method name invoked after restore to
-  re-initialize the dropped caches (defaults to empty containers via
-  ``cache_factories``).
+* ``rebuild`` — the method invoked after restore to re-initialize the
+  dropped caches; required whenever ``caches`` is given (a class that
+  drops caches without one raises :class:`TypeError` at decoration).
 
 The decorator installs ``__getstate__``/``__setstate__`` accordingly and
 records the declaration in :data:`SNAPSHOT_SURFACES`, the registry the
 architecture docs and the surface test render so the snapshot contract
 stays visible in one place.
 
-Process-global counters that must survive a restore bit-identically
-(e.g. the kernel perf event-id allocator) register themselves via
-:func:`register_global_counter`; the snapshot envelope saves and
-restores them alongside the object graph.  Registration also records
-each counter's value at that moment, so :func:`reset_global_counters`
-can hand a forked sweep worker the counters of a freshly imported
-process.
+All snapshot state lives in the object graph: a counter a restored run
+must continue (the perf event ids, say) belongs to the layer that hands
+it out, never to the process.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import operator
+from typing import Optional
 
 #: class -> declaration, for docs and the surface self-test.
 SNAPSHOT_SURFACES: dict[type, dict] = {}
-
-#: name -> (getter, setter) for process-global snapshot state.
-GLOBAL_COUNTERS: dict[str, tuple[Callable[[], int], Callable[[int], None]]] = {}
-
-#: name -> the counter's value when it was registered (at import).
-_INITIAL_VALUES: dict[str, int] = {}
-
-
-def register_global_counter(
-    name: str, getter: Callable[[], int], setter: Callable[[int], None]
-) -> None:
-    """Expose a module-global counter to the snapshot envelope."""
-    GLOBAL_COUNTERS[name] = (getter, setter)
-    _INITIAL_VALUES[name] = getter()
-
-
-def reset_global_counters() -> None:
-    """Rewind every registered counter to its value at registration:
-    the state a freshly imported process starts from."""
-    set_global_counter_state(_INITIAL_VALUES)
-
-
-def global_counter_state() -> dict[str, int]:
-    """Current values of all registered global counters."""
-    return {name: get() for name, (get, _set) in GLOBAL_COUNTERS.items()}
-
-
-def set_global_counter_state(state: dict[str, int]) -> None:
-    """Rewind global counters (e.g. to compare two runs built in one
-    process: capture before run A, rewind before run B, and both hand
-    out identical perf event ids)."""
-    for name, value in state.items():
-        entry = GLOBAL_COUNTERS.get(name)
-        if entry is not None:
-            entry[1](value)
 
 
 def snapshot_surface(
@@ -93,6 +55,11 @@ def snapshot_surface(
     them: an ``events`` and a ``ticks`` run of the same workload digest
     equal.
     """
+    if caches and rebuild is None:
+        raise TypeError(
+            f"caches {caches!r} are dropped at snapshot time: name the "
+            "rebuild method that restores them"
+        )
 
     def decorate(cls: type) -> type:
         SNAPSHOT_SURFACES[cls] = {
@@ -102,8 +69,9 @@ def snapshot_surface(
             "digest_exclude": tuple(digest_exclude),
             "note": note,
         }
-        if not caches:
-            return cls  # pure declaration: default pickling already right
+        if rebuild is None:
+            return cls  # no caches: default pickling already right
+        rebuild_caches = operator.methodcaller(rebuild)
 
         def __getstate__(self) -> dict:
             state = dict(self.__dict__)
@@ -113,8 +81,7 @@ def snapshot_surface(
 
         def __setstate__(self, state: dict) -> None:
             self.__dict__.update(state)
-            if rebuild is not None:
-                getattr(self, rebuild)()
+            rebuild_caches(self)
 
         cls.__getstate__ = __getstate__  # type: ignore[attr-defined]
         cls.__setstate__ = __setstate__  # type: ignore[attr-defined]

@@ -20,37 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.checkpoint.surface import register_global_counter, snapshot_surface
+from repro.checkpoint.surface import snapshot_surface
 from repro.hw.coretype import ArchEvent
 from repro.kernel.perf.attr import PerfEventAttr, ReadFormat
 from repro.kernel.perf.pmu import KernelPmu, PmuKind
-
-# Event ids are allocated from a plain module global (not an
-# ``itertools.count``) so checkpoints can capture and rewind it: events
-# opened *after* a restore must receive the same ids the uninterrupted
-# run would have handed out.
-_next_event_id = 1
-
-
-def _alloc_event_id() -> int:
-    global _next_event_id
-    eid = _next_event_id
-    _next_event_id += 1
-    return eid
-
-
-def _get_next_event_id() -> int:
-    return _next_event_id
-
-
-def _set_next_event_id(value: int) -> None:
-    global _next_event_id
-    _next_event_id = value
-
-
-register_global_counter(
-    "kernel.perf.next_event_id", _get_next_event_id, _set_next_event_id
-)
 
 
 @dataclass(frozen=True)
@@ -118,14 +91,15 @@ class PerfReadValue:
     ),
     note="All state: counts, enabled/running clocks, group links, "
     "parked flag, software/RAPL baselines, sample ring and overflow "
-    "cursor.  Ids come from the kernel.perf.next_event_id global "
-    "counter, which the snapshot envelope rewinds on restore."
+    "cursor.  The id is handed out by the owning PerfSubsystem, whose "
+    "next id is kernel state like its fd counter."
 )
 class KernelPerfEvent:
     """One opened perf event."""
 
     def __init__(
         self,
+        event_id: int,
         attr: PerfEventAttr,
         pmu: KernelPmu,
         target_tid: Optional[int],
@@ -133,7 +107,9 @@ class KernelPerfEvent:
         group_leader: Optional["KernelPerfEvent"] = None,
         arch_event: Optional[ArchEvent] = None,
     ):
-        self.id = _alloc_event_id()
+        #: Unique within its kernel (:class:`PerfSubsystem`), as the id
+        #: ``PERF_FORMAT_ID`` reads report.
+        self.id = event_id
         self.attr = attr
         self.pmu = pmu
         self.arch_event = arch_event

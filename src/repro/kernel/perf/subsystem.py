@@ -100,6 +100,7 @@ class _DispatchEntry:
         "cost",
         "_fds",
         "_next_fd",
+        "_next_event_id",
         "_thread_events",
         "_cpuwide_events",
         "_uncore_events",
@@ -116,10 +117,11 @@ class _DispatchEntry:
     digest_exclude=("_mux_traced", "_mismatch_traced"),
     note=(
         "Multiplexing dispatch entries are generation-tagged memos "
-        "rebuilt on first use; everything else — fd table, event "
-        "contexts with counts and enabled/running clocks, rotation "
-        "state via thread runtime, reserved counters, fault budgets, "
-        "the dispatch generation itself — is genuine kernel state.  "
+        "rebuilt on first use; everything else — fd table, next fd and "
+        "event id, event contexts with counts and enabled/running "
+        "clocks, rotation state via thread runtime, reserved counters, "
+        "fault budgets, the dispatch generation itself — is genuine "
+        "kernel state.  "
         "The last-traced rotation slots and mismatch flags are "
         "serialized (a restored run must not re-emit old transitions) "
         "but digest-excluded: they only exist to deduplicate trace "
@@ -135,6 +137,9 @@ class PerfSubsystem:
         self.cost = SyscallCostModel()
         self._fds: dict[int, KernelPerfEvent] = {}
         self._next_fd = 3
+        # Event ids are per kernel, like fds: two machines built alike
+        # hand out the same ids, and a restored one continues its own.
+        self._next_event_id = 1
         self._thread_events: dict[int, list[KernelPerfEvent]] = {}
         self._cpuwide_events: dict[int, list[KernelPerfEvent]] = {}
         self._uncore_events: list[KernelPerfEvent] = []
@@ -276,6 +281,7 @@ class PerfSubsystem:
             self._check_group_compatible(leader, pmu)
 
         event = KernelPerfEvent(
+            self._next_event_id,
             attr=attr,
             pmu=pmu,
             target_tid=target_tid,
@@ -283,6 +289,7 @@ class PerfSubsystem:
             group_leader=leader,
             arch_event=arch_event,
         )
+        self._next_event_id += 1
         if rapl_domain is not None:
             event._rapl_domain = rapl_domain  # type: ignore[attr-defined]
 

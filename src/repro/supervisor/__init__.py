@@ -12,15 +12,6 @@ and the materialized sweep view.
 """
 
 from repro.supervisor.cache import ResultCache, code_version, spec_digest
-from repro.supervisor.heartbeat import (
-    DEAD,
-    LIVE,
-    SLOW,
-    STUCK,
-    heartbeat_path,
-    read_heartbeat,
-    write_heartbeat,
-)
 from repro.supervisor.journal import Journal, JournalError, JournalState
 from repro.supervisor.manifest import (
     DONE,
@@ -33,7 +24,13 @@ from repro.supervisor.manifest import (
     Manifest,
     RunRecord,
 )
-from repro.supervisor.pool import WorkerPool, backoff_delay, default_worker_count
+from repro.supervisor.pool import (
+    SLOW,
+    STUCK,
+    WorkerPool,
+    backoff_delay,
+    default_worker_count,
+)
 from repro.supervisor.queue import FATES, PlannedRun, RunSpec
 from repro.supervisor.runs import RUN_KINDS, Preempted, RunContext
 from repro.supervisor.supervisor import Supervisor
@@ -43,8 +40,6 @@ __all__ = [
     "FAILED",
     "PENDING",
     "RUNNING",
-    "DEAD",
-    "LIVE",
     "SLOW",
     "STUCK",
     "FATES",
@@ -65,9 +60,6 @@ __all__ = [
     "code_version",
     "default_worker_count",
     "spec_digest",
-    "heartbeat_path",
-    "read_heartbeat",
-    "write_heartbeat",
     "EXIT_PERMANENT",
     "EXIT_PREEMPTED",
     "EXIT_TRANSIENT",

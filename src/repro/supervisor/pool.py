@@ -6,14 +6,15 @@ slot one worker process forked from this (already-imported) process by
 :func:`repro.supervisor.worker.spawn` and leading its **own session**
 (so a kill always takes the whole process group — no zombie children
 surviving a timeout).  Because it forks, the pool must be driven from a
-single-threaded program.  Each :meth:`WorkerPool.step` then watches
-every in-flight job three ways:
+single-threaded program.  Each worker beats its **simulated** time
+into its own pipe (:meth:`~repro.supervisor.runs.RunContext.heartbeat`),
+and each :meth:`WorkerPool.step` watches every in-flight job three ways:
 
 * ``os.waitpid`` — **dead** workers are reaped and classified by exit
   code (negative: killed by that signal), and their slots refilled in
   the same step;
-* heartbeats — a worker whose **simulated** time stops advancing for
-  ``stuck_after_s`` of wall time is **stuck**;
+* heartbeats, drained from the pipe — a worker whose simulated time
+  stops advancing for ``stuck_after_s`` of wall time is **stuck**;
 * the wall deadline — a worker that is progressing but past
   ``wall_timeout_s`` is **slow**.
 
@@ -22,11 +23,10 @@ crashed attempt: from the last checkpoint, with the attempt and backoff
 state carried over.  Every slot is the same forked process on the same
 host, so a slot number is only a label in the journal.
 
-Between steps, :meth:`WorkerPool.wait` blocks until a worker exits
-(watched through a pidfd), the earliest queued run comes due, or the
-caller's liveness interval passes, so a freed slot is refilled as soon
-as a run is ready for it.  Where pidfds are unavailable it reports so
-at once, and the caller paces by plain sleeps.
+Between steps, :meth:`WorkerPool.wait` blocks until a worker exits (its
+pipe hangs up), the earliest queued run comes due, or the caller's
+liveness interval passes, so a freed slot is refilled as soon as a run
+is ready for it.  Heartbeats do not end the wait.
 
 Retries are scheduled, not slept: each failed attempt computes a
 deterministic backoff (exponential base with seedable jitter, see
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import random
 import select
@@ -51,12 +52,6 @@ import signal
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.supervisor.heartbeat import (
-    SLOW,
-    STUCK,
-    heartbeat_path,
-    read_heartbeat,
-)
 from repro.supervisor.journal import Journal
 from repro.supervisor.manifest import (
     DONE,
@@ -68,8 +63,15 @@ from repro.supervisor.manifest import (
     RunRecord,
     atomic_write_json,
 )
+from repro.supervisor.runs import BEAT
 from repro.supervisor.worker import spawn
 from repro.trace.tracer import MetricsRegistry
+
+#: Liveness verdicts that kill a worker, recorded in the journal and
+#: metrics: alive but simulated time frozen, or progressing but past the
+#: wall deadline.
+STUCK = "stuck"
+SLOW = "slow"
 
 
 def default_worker_count() -> int:
@@ -107,6 +109,8 @@ class _Job:
     record: RunRecord
     slot: int
     pid: int
+    #: Read end of the worker's heartbeat pipe (non-blocking).
+    beats: int
     run_dir: str
     started: float
     resume_from: Optional[str]
@@ -219,16 +223,14 @@ class WorkerPool:
             job = self._jobs[slot]
             pid, status = os.waitpid(job.pid, os.WNOHANG)
             if pid:
-                del self._jobs[slot]
-                self._free_slots.append(slot)
+                self._release(job)
                 self._finish(job, os.waitstatus_to_exitcode(status), now)
                 continue
             verdict = self._liveness(job, now)
             if verdict is not None:
                 self._kill_group(job, signal.SIGKILL)
                 os.waitpid(job.pid, 0)
-                del self._jobs[slot]
-                self._free_slots.append(slot)
+                self._release(job)
                 self._finish_killed(job, verdict, now)
 
         if not self._draining:
@@ -244,32 +246,34 @@ class WorkerPool:
             self._drive_drain(self._jobs, now)
         return self.busy
 
-    def wait(self, timeout_s: float) -> bool:
+    def wait(self, timeout_s: float) -> None:
         """Block until an in-flight worker exits, the earliest queued run
         may launch, or ``timeout_s`` passes, whichever is first.
 
-        Each worker is watched through a pidfd opened for this wait
-        alone: it turns readable once the worker exits and stays so
-        until the next :meth:`step` reaps it, and no descriptor outlives
-        the call (nor reaches a worker forked later).  Returns False at
-        once where pidfds are unavailable (non-Linux, or refused by a
-        seccomp filter); the caller then paces by sleeping."""
+        A worker's exit hangs up its heartbeat pipe, and the pipe stays
+        hung up until the next :meth:`step` reaps the worker and closes
+        it.  Only hang-ups are polled for, so heartbeats waiting in a
+        pipe do not end the wait."""
         if self._queue and self._free_slots and not self._draining:
             timeout_s = min(timeout_s, max(0.0, self._queue[0][0] - self.clock()))
-        fds: list[int] = []
-        try:
-            for job in self._jobs.values():
-                fds.append(os.pidfd_open(job.pid))
-            poller = select.poll()
-            for fd in fds:
-                poller.register(fd, select.POLLIN)
-            poller.poll(timeout_s * 1000.0)
-            return True
-        except (AttributeError, OSError):
-            return False
-        finally:
-            for fd in fds:
-                os.close(fd)
+        poller = select.poll()
+        for job in self._jobs.values():
+            poller.register(job.beats, 0)
+        poller.poll(timeout_s * 1000.0)
+
+    def _release(self, job: _Job) -> None:
+        """Free a reaped job's slot and close its pipe."""
+        del self._jobs[job.slot]
+        self._free_slots.append(job.slot)
+        os.close(job.beats)
+
+    def close(self) -> None:
+        """Close the pipes of the jobs still in flight, which only a
+        sweep cut short by an exception leaves; their workers run on
+        until a resume reaps them."""
+        for job in self._jobs.values():
+            os.close(job.beats)
+        self._jobs.clear()
 
     # -- launch --------------------------------------------------------------
 
@@ -283,14 +287,11 @@ class WorkerPool:
         record.status = RUNNING
         record.checkpoint_path = resume_from
 
-        # A stale heartbeat from the previous attempt must not feed the
-        # liveness monitor, and its error must not be read as this
-        # attempt's: drop both before the new worker starts.
-        for stale in (heartbeat_path(run_dir), os.path.join(run_dir, "error.json")):
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
+        # The previous attempt's error must not be read as this one's.
+        try:
+            os.unlink(os.path.join(run_dir, "error.json"))
+        except OSError:
+            pass
 
         spec = {
             "run_id": record.run_id,
@@ -303,7 +304,7 @@ class WorkerPool:
         }
         spec_path = os.path.join(run_dir, "spec.json")
         atomic_write_json(spec_path, spec)
-        pid = spawn(spec_path, os.path.join(run_dir, "stderr.log"))
+        pid, beats = spawn(spec_path, os.path.join(run_dir, "stderr.log"))
 
         origin = f"resuming from {resume_from}" if resume_from else "fresh start"
         self.log(
@@ -326,6 +327,7 @@ class WorkerPool:
             record=record,
             slot=slot,
             pid=pid,
+            beats=beats,
             run_dir=run_dir,
             started=now,
             resume_from=resume_from,
@@ -336,8 +338,8 @@ class WorkerPool:
 
     def _liveness(self, job: _Job, now: float) -> Optional[str]:
         """STUCK/SLOW when the job must be killed, else None (live)."""
-        hb = read_heartbeat(heartbeat_path(job.run_dir))
-        if hb is not None and hb.get("attempt") == job.record.attempts:
+        sim = self._newest_beat(job.beats)
+        if sim is not None:
             if not job.hb_seen:
                 # First heartbeat of the attempt: startup (fork, spec
                 # load, checkpoint restore) is over — that is itself
@@ -345,8 +347,7 @@ class WorkerPool:
                 # window would be killed before its first sim step.
                 job.hb_seen = True
                 job.last_progress = now
-            sim = hb.get("sim_time_s")
-            if sim is not None and (
+            if not math.isnan(sim) and (
                 job.last_sim_time is None or sim > job.last_sim_time
             ):
                 job.last_sim_time = sim
@@ -364,6 +365,21 @@ class WorkerPool:
         ):
             return SLOW
         return None
+
+    @staticmethod
+    def _newest_beat(beats: int) -> Optional[float]:
+        """Drain a heartbeat pipe; the newest beat, or None if none came
+        since the last drain.  Beats are whole atomic writes, so every
+        read returns whole beats."""
+        newest = None
+        while True:
+            try:
+                data = os.read(beats, 1 << 16)
+            except BlockingIOError:
+                return newest
+            if not data:
+                return newest  # hung up: the worker is gone
+            (newest,) = BEAT.unpack_from(data, len(data) - BEAT.size)
 
     def _kill_group(self, job: _Job, sig: int) -> None:
         """Signal the worker's whole process group (it leads its own

@@ -4,7 +4,8 @@ A *run kind* is a function ``kind(params, ctx) -> dict``:
 
 * ``params`` — the JSON-safe parameter dict from the sweep manifest;
 * ``ctx`` — a :class:`RunContext` giving it attempt number, a restored
-  checkpoint payload (when resuming), and periodic checkpointing;
+  checkpoint payload (when resuming), heartbeats to the pool, and
+  periodic checkpointing;
 * the return value is the run's JSON-safe result, written to
   ``result.json`` by the worker.
 
@@ -21,8 +22,10 @@ kind owns its payload shape.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -31,8 +34,12 @@ from typing import Callable, Optional
 from repro.checkpoint.snapshot import save_object
 from repro.hpl.dat import HplConfig
 from repro.hpl.runner import finish_hpl, start_hpl
-from repro.supervisor.heartbeat import write_heartbeat
 from repro.system import System
+
+
+#: One heartbeat on a worker's pipe: its simulated time, NaN before the
+#: run has any.  8 bytes, so every beat is one atomic pipe write.
+BEAT = struct.Struct("d")
 
 
 class Preempted(Exception):
@@ -50,7 +57,7 @@ class RunContext:
         checkpoint_path: str,
         checkpoint_every_s: float = 0.1,
         restored_payload: Optional[dict] = None,
-        heartbeat_path: Optional[str] = None,
+        beats: Optional[int] = None,
         preempt: Optional[Callable[[], bool]] = None,
     ):
         self.run_id = run_id
@@ -61,21 +68,24 @@ class RunContext:
         #: The payload loaded from the latest checkpoint when resuming,
         #: else None (fresh start).
         self.restored_payload = restored_payload
-        #: Where heartbeats go (None disables them, e.g. in-process tests).
-        self.heartbeat_path = heartbeat_path
+        #: Non-blocking write end of the pool's heartbeat pipe (None
+        #: disables heartbeats, e.g. a run by hand or in-process).
+        self.beats = beats
         self._preempt = preempt or (lambda: False)
         self._last_checkpoint_sim_s: Optional[float] = None
 
-    def heartbeat(self, system: System) -> None:
+    def heartbeat(self, system: Optional[System] = None) -> None:
         """Tell the pool this attempt is alive and how far the *simulated*
-        clock has come — the signal that separates stuck from slow."""
-        if self.heartbeat_path is not None:
-            write_heartbeat(
-                self.heartbeat_path,
-                os.getpid(),
-                self.attempt,
-                system.machine.now_s,
-            )
+        clock has come — the signal that separates stuck from slow.
+        Without a system the beat only says start-up is over.  A full
+        pipe or a gone supervisor drops the beat."""
+        if self.beats is None:
+            return
+        now = math.nan if system is None else system.machine.now_s
+        try:
+            os.write(self.beats, BEAT.pack(now))
+        except (BlockingIOError, BrokenPipeError):
+            pass
 
     def should_preempt(self) -> bool:
         """True once the pool asked this worker to checkpoint and stop."""

@@ -11,7 +11,8 @@ idle, and seals the journal.  What it guarantees:
   forked from this already-imported process (so a ``Supervisor`` must
   be driven from a single-threaded program), checkpointed retries with
   deterministic backoff (seedable jitter, injectable clock/sleep);
-* **wedged workers** — heartbeat liveness and process-group kills;
+* **wedged workers** — heartbeat liveness (simulated time, beaten into
+  a pipe per attempt) and process-group kills;
 * **supervisor death** — every transition journaled before acted on;
   SIGKILL + ``resume=True`` reaps the worker groups the dead supervisor
   left running, reconstructs the exact pending/in-flight/done sets and
@@ -59,14 +60,18 @@ __all__ = ["RunSpec", "Supervisor"]
 
 #: Longest wall wait between two pool scheduling rounds: it bounds how
 #: late a liveness check or a drain request is acted on.  A worker's
-#: exit ends the wait at once (:meth:`WorkerPool.wait`); only where
-#: that cannot be watched, or a test injects ``sleep``, is every wait
-#: this long.
+#: exit ends the wait at once (:meth:`WorkerPool.wait`); an injected
+#: ``sleep`` is always called with this interval.
 POLL_INTERVAL_S = 0.02
 
 
 class Supervisor:
-    """Drives a sweep to completion; see the module docstring."""
+    """Drives a sweep to completion; see the module docstring.
+
+    Between pool steps the loop waits on the workers
+    (:meth:`WorkerPool.wait`); an injected ``sleep`` replaces that wait,
+    so a test can act between steps or drive a fake ``clock``.
+    """
 
     def __init__(
         self,
@@ -81,7 +86,7 @@ class Supervisor:
         jitter_seed: Optional[int] = None,
         cache_dir: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Optional[Callable[[float], None]] = None,
     ):
         self.out_dir = out_dir
         self.max_attempts = max_attempts
@@ -142,9 +147,10 @@ class Supervisor:
             self.manifest.save()
             self._admit(plan)
             while self.pool.step():
-                if self.sleep is time.sleep and self.pool.wait(POLL_INTERVAL_S):
-                    continue
-                self.sleep(POLL_INTERVAL_S)
+                if self.sleep is None:
+                    self.pool.wait(POLL_INTERVAL_S)
+                else:
+                    self.sleep(POLL_INTERVAL_S)
         finally:
             manifest = self._close()
         verb = "drained" if self.drained else "complete"
@@ -279,8 +285,8 @@ class Supervisor:
     def _reap(self, pids: list[int]) -> None:
         """SIGKILL the worker process groups a dead supervisor left
         running.  A worker leads its own session, so it survives its
-        supervisor; until it is dead it holds the run directory —
-        heartbeats, checkpoints — so it must be gone before the run is
+        supervisor; until it is dead it holds the run directory — its
+        checkpoint, its result — so it must be gone before the run is
         relaunched."""
         reaped = 0
         for pid in pids:
@@ -330,6 +336,7 @@ class Supervisor:
     def _close(self) -> Manifest:
         """Seal the journal (metrics + drain/complete), materialize the
         manifest view and metrics snapshot."""
+        self.pool.close()
         snapshot = self.metrics.as_dict()
         summary = self.manifest.summary()
         self.journal.append({"type": "metrics", "metrics": snapshot})

@@ -5,16 +5,17 @@ executes in a worker process that :func:`spawn` forks from the
 supervisor, which has already imported ``repro`` (and numpy), so an
 attempt pays no interpreter start-up or imports.  The child leads its
 own session, has stdin/stdout on ``/dev/null`` and stderr on the run's
-``stderr.log``, rewinds the registered process-global counters to their
-import-time values, runs :func:`run_spec` and ends in ``os._exit`` on
-every path — it never returns into the supervisor's frames.  A
+``stderr.log``, runs :func:`run_spec` and ends in ``os._exit`` on every
+path — it never returns into the supervisor's frames.  It carries no
+process state over from the supervisor: everything a run allocates
+(perf event ids included) belongs to its simulated kernel.  A
 segfault, SIGKILL, or runaway loop takes down only this worker.
 ``python -m repro.supervisor.worker --spec spec.json`` runs the same
 spec in a fresh interpreter: for rerunning an attempt by hand, and as
 the reference the fork path is tested against.
 
-Communication is file-based (crash-safe): the worker reads a spec,
-writes ``result.json`` on success or ``error.json`` on failure, both
+Results are file-based (crash-safe): the worker reads a spec, writes
+``result.json`` on success or ``error.json`` on failure, both
 atomically, and reports classification via exit code:
 
 * 0 — success, ``result.json`` written;
@@ -33,11 +34,12 @@ Anything else — a signal, an OOM kill, an uncaught ``BaseException``
 (exit 1, traceback in ``stderr.log``) — yields no exit code from this
 table, and the supervisor classifies the bare crash as transient.
 
-Alongside the checkpoint cadence the worker writes ``heartbeat.json``
-(pid, attempt, current *simulated* time) every slice; the pool's
-liveness monitor uses it to tell a stuck worker (sim time frozen) from a
-slow one (progressing past its deadline) — see
-:mod:`repro.supervisor.heartbeat`.
+Liveness goes over one pipe per attempt, which :func:`spawn` creates:
+the child holds its non-blocking write end and beats its current
+*simulated* time into it every slice (:meth:`RunContext.heartbeat`);
+the pool drains the read end to tell a stuck worker (sim time frozen)
+from a slow one (progressing past its deadline), and sees the pipe hang
+up when the worker exits.
 """
 
 from __future__ import annotations
@@ -48,11 +50,10 @@ import os
 import signal
 import sys
 import traceback
+from typing import Optional
 
 from repro.checkpoint.snapshot import SnapshotError, load_object
-from repro.checkpoint.surface import reset_global_counters
 from repro.sim.engine import SimTimeout
-from repro.supervisor.heartbeat import heartbeat_path, write_heartbeat
 from repro.supervisor.manifest import (
     EXIT_PERMANENT,
     EXIT_PREEMPTED,
@@ -87,8 +88,9 @@ def _write_error(path: str, kind: str, exc: BaseException, **extra) -> None:
     atomic_write_json(path, payload)
 
 
-def run_spec(spec: dict) -> int:
-    """Execute one run spec; returns the process exit code."""
+def run_spec(spec: dict, beats: Optional[int] = None) -> int:
+    """Execute one run spec; returns the process exit code.  ``beats``
+    is the write end of the pool's heartbeat pipe (None: no pool)."""
     run_id = spec["run_id"]
     out_dir = spec["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -120,21 +122,18 @@ def run_spec(spec: dict) -> int:
             _write_error(error_path, "transient", exc, bad_checkpoint=resume_from)
             return EXIT_TRANSIENT
 
-    attempt = int(spec.get("attempt", 1))
-    # First heartbeat before any simulation: registers this attempt's
-    # pid for the liveness monitor (sim time None = alive, no progress
-    # to report yet).
-    write_heartbeat(heartbeat_path(out_dir), os.getpid(), attempt, None)
-
     ctx = RunContext(
         run_id=run_id,
-        attempt=attempt,
+        attempt=int(spec.get("attempt", 1)),
         checkpoint_path=checkpoint_path,
         checkpoint_every_s=float(spec.get("checkpoint_every_s", 0.1)),
         restored_payload=restored,
-        heartbeat_path=heartbeat_path(out_dir),
+        beats=beats,
         preempt=_preempt_requested,
     )
+    # First heartbeat before any simulation: start-up is over (no sim
+    # progress to report yet).
+    ctx.heartbeat()
 
     try:
         result = fn(spec.get("params", {}), ctx)
@@ -161,22 +160,26 @@ def run_spec(spec: dict) -> int:
     return 0
 
 
-def spawn(spec_path: str, stderr_path: str) -> int:
+def spawn(spec_path: str, stderr_path: str) -> tuple[int, int]:
     """Fork a worker process that runs the spec at ``spec_path``;
-    returns its pid.
+    returns its pid and the read end of its heartbeat pipe.
 
-    The caller reaps it with ``os.waitpid``.  The child starts like
-    ``python -m repro.supervisor.worker --spec`` would: its own session,
-    stdin/stdout on ``/dev/null``, stderr on ``stderr_path``, SIGTERM on
-    :func:`_on_sigterm`, SIGINT on Python's default, and the registered
-    global counters at their import-time values.  Forking needs a
-    single-threaded caller: a lock another thread holds at the fork
-    stays held in the child forever.
+    The caller reaps it with ``os.waitpid`` and closes the read end.
+    The read end is non-blocking; it hangs up once the worker is gone.
+    The child starts like ``python -m repro.supervisor.worker --spec``
+    would: its own session, stdin/stdout on ``/dev/null``, stderr on
+    ``stderr_path``, SIGTERM on :func:`_on_sigterm` and SIGINT on
+    Python's default; it keeps only the pipe's non-blocking write end.
+    Forking needs a single-threaded caller: a lock another thread holds
+    at the fork stays held in the child forever.
     """
     # Nothing the caller left buffered may be written again by the child.
     sys.stdout.flush()
     sys.stderr.flush()
     stderr_fd = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(read_fd, False)
+    os.set_blocking(write_fd, False)
     # Neither signal may reach the child before its own handlers are in.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
     try:
@@ -186,6 +189,7 @@ def spawn(spec_path: str, stderr_path: str) -> int:
             # (a `finally`, an atexit hook, a buffer flush) runs twice.
             code = 1
             try:
+                os.close(read_fd)
                 os.setsid()
                 devnull = os.open(os.devnull, os.O_RDWR)
                 os.dup2(devnull, 0)
@@ -198,18 +202,21 @@ def spawn(spec_path: str, stderr_path: str) -> int:
                 signal.signal(signal.SIGTERM, _on_sigterm)
                 signal.signal(signal.SIGINT, signal.default_int_handler)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                reset_global_counters()
                 with open(spec_path) as fh:
                     spec = json.load(fh)
-                code = run_spec(spec)
+                code = run_spec(spec, beats=write_fd)
             except BaseException:
                 traceback.print_exc()
             finally:
                 os._exit(code)
+    except BaseException:
+        os.close(read_fd)
+        raise
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(stderr_fd)
-    return pid
+        os.close(write_fd)
+    return pid, read_fd
 
 
 def main(argv=None) -> int:

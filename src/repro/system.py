@@ -96,11 +96,9 @@ class System:
 
     @classmethod
     def restore(cls, path: str) -> "System":
-        """Load a snapshot written by :meth:`save`.
-
-        Also rewinds registered process-global counters (perf event-id
-        allocator) to their values at save time — required for
-        bit-identical continuation; restore one run per worker process.
+        """Load a snapshot written by :meth:`save`.  The restored system
+        carries all its state, its kernel's next perf event id included,
+        so restoring leaves every other system in the process as it was.
         """
         from repro.checkpoint.snapshot import SnapshotError, load_object
 

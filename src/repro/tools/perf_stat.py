@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 
 from repro.hpl import HplConfig
-from repro.hpl.runner import HplCoordinator, HplThreadSource
-from repro.hpl.model import hpl_steps
+from repro.hpl.runner import start_hpl
 from repro.hpl.variants import VARIANTS
 from repro.hw.machines import MACHINE_PRESETS
 from repro.kernel.sched.affinity import parse_cpu_list
@@ -60,18 +59,8 @@ def main(argv=None) -> int:
             )
         ]
     else:
-        config = HplConfig(n=args.n, nb=args.nb)
-        cpu_list = cpus if cpus else system.topology.primary_threads()
-        ctypes = [system.topology.core(c).ctype for c in cpu_list]
-        coord = HplCoordinator(hpl_steps(config), VARIANTS[args.variant], ctypes)
-        threads = [
-            system.machine.spawn(
-                SimThread(f"hpl-{i}",
-                          HplThreadSource(coord, i, ctypes[i], nb=config.nb),
-                          affinity={cpu})
-            )
-            for i, cpu in enumerate(cpu_list)
-        ]
+        threads = start_hpl(system, HplConfig(n=args.n, nb=args.nb),
+                            variant=args.variant, cpus=cpus).threads
 
     tool = PerfStat(system)
     tool.open_for_threads(events, threads)

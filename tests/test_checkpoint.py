@@ -4,8 +4,8 @@ The tentpole invariant: for any deterministic scenario, snapshotting at
 time T, restoring (same or fresh process) and running to the end is
 bit-identical — ``state_digest`` equal — to never having snapshotted.
 Plus the envelope machinery around it: versioning, integrity checking,
-global-counter rewind, closure capture, and the digest's own stability
-rules.
+per-kernel perf event ids, closure capture, and the digest's own
+stability rules.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.checkpoint import (
     state_digest,
 )
 from repro.checkpoint.pickler import dumps, loads
-from repro.checkpoint.surface import global_counter_state, set_global_counter_state
+from repro.checkpoint.surface import snapshot_surface
 from repro.sim.task import Program, SimThread
 from repro.sim.workload import ComputePhase, PhaseRates, constant_rates
 from repro.system import System
@@ -51,13 +51,11 @@ def _spawn_workload(system):
 class TestRestoreEquivalence:
     @pytest.mark.parametrize("engine", ["events", "ticks"])
     def test_restore_then_run_is_bit_identical(self, tmp_path, engine):
-        g0 = global_counter_state()
         straight = System(MACHINE, dt_s=0.001, engine=engine)
         _spawn_workload(straight)
         straight.machine.run_until_done(straight.machine.threads, max_s=10)
         d_straight = straight.state_digest()
 
-        set_global_counter_state(g0)
         snapped = System(MACHINE, dt_s=0.001, engine=engine)
         _spawn_workload(snapped)
         snapped.machine.run_for(0.05)
@@ -78,13 +76,11 @@ class TestRestoreEquivalence:
         from repro.hpl.dat import HplConfig
         from repro.hpl.runner import start_hpl
 
-        g0 = global_counter_state()
         straight = System(MACHINE, dt_s=0.01)
         start_hpl(straight, HplConfig(n=1000, nb=128))
         straight.machine.run_until_done(straight.machine.threads, max_s=100)
         d_straight = straight.state_digest()
 
-        set_global_counter_state(g0)
         snapped = System(MACHINE, dt_s=0.01)
         handle = start_hpl(snapped, HplConfig(n=1000, nb=128))
         snapped.machine.run_for(0.04)
@@ -115,14 +111,12 @@ class TestRestoreEquivalence:
                 "app", [ComputePhase(3e9, RATES)]
             )
 
-        g0 = global_counter_state()
         straight = System(MACHINE, dt_s=0.01, trace=True, migrate_jitter=0.03)
         spawn(straight)
         straight.machine.run_until_done(straight.machine.threads, max_s=10)
         want_digest = straight.state_digest()
         want_trace = to_text(straight.tracer.events_list())
 
-        set_global_counter_state(g0)
         snapped = System(MACHINE, dt_s=0.01, trace=True, migrate_jitter=0.03)
         spawn(snapped)
         snapped.machine.run_for(0.07)
@@ -212,29 +206,32 @@ class TestEnvelope:
         with pytest.raises(SnapshotError):
             read_header(path)
 
-    def test_global_counter_rewound_on_load(self, tmp_path):
-        from repro.kernel.perf.event import _get_next_event_id
-
-        system = System(MACHINE, dt_s=0.01)
-        path = str(tmp_path / "g.snap")
-        system.save(path)
-        at_save = _get_next_event_id()
-
-        # Opening more events advances the allocator...
-        other = System(MACHINE, dt_s=0.01)
-        t = other.machine.spawn_program("w", [ComputePhase(1e8, RATES)])
+    def test_event_ids_belong_to_the_kernel(self, tmp_path):
+        """Two Systems built one after the other open the same event
+        under the same id and digest equal; restoring an older snapshot
+        leaves a live System's next id where it was."""
         from repro.kernel.perf import PerfEventAttr
 
-        ptype = other.perf.registry.by_name["cpu_core"].type
-        other.perf.perf_event_open(
-            PerfEventAttr(type=ptype, config=0x00C0), pid=t.tid, cpu=-1
-        )
-        assert _get_next_event_id() > at_save
+        def open_event(system):
+            t = system.machine.spawn_program("w", [ComputePhase(1e8, RATES)])
+            ptype = system.perf.registry.by_name["cpu_core"].type
+            fd = system.perf.perf_event_open(
+                PerfEventAttr(type=ptype, config=0x00C0), pid=t.tid, cpu=-1
+            )
+            return system.perf._fds[fd].id
 
-        # ...and load_object rewinds it to the saved position, so the
-        # restored run hands out the ids the original would have.
-        System.restore(path)
-        assert _get_next_event_id() == at_save
+        old = System(MACHINE, dt_s=0.01)
+        path = str(tmp_path / "old.snap")
+        old.save(path)
+
+        first, second = System(MACHINE, dt_s=0.01), System(MACHINE, dt_s=0.01)
+        assert open_event(first) == open_event(second)
+        assert first.state_digest() == second.state_digest()
+
+        restored = System.restore(path)
+        assert open_event(second) == open_event(first)
+        assert first.state_digest() == second.state_digest()
+        assert open_event(restored) == 1
 
     def test_restore_rejects_wrong_payload_type(self, tmp_path):
         from repro.checkpoint import SnapshotError
@@ -309,6 +306,17 @@ class TestDigest:
 
 
 class TestSurfaceRegistry:
+    def test_caches_without_a_rebuild_method_are_refused(self):
+        """A dropped cache nothing rebuilds would restore as a missing
+        attribute; the declaration itself must fail."""
+        with pytest.raises(TypeError, match="rebuild"):
+
+            @snapshot_surface(state=("x",), caches=("_memo",))
+            class Forgetful:
+                def __init__(self):
+                    self.x = 1
+                    self._memo = {}
+
     def test_declared_caches_have_rebuilders(self):
         for cls, spec in SNAPSHOT_SURFACES.items():
             if spec["caches"]:

@@ -17,7 +17,6 @@ rejoin the same digest.
 from __future__ import annotations
 
 from repro.checkpoint import state_digest
-from repro.checkpoint.surface import global_counter_state, set_global_counter_state
 from repro.papi import Papi
 from repro.sim.task import ControlOp, Program, SimThread
 from repro.sim.workload import (
@@ -45,18 +44,10 @@ ENGINES = ("ticks", "events")
 
 
 def _run_matrix(build, **system_kw):
-    """Run ``build(system) -> result`` once per engine.
-
-    Process-global counters (the perf event-id allocator) are rewound
-    between builds so every system hands out identical ids — exactly
-    what a checkpoint restore does — making whole-system digests
-    directly comparable.  Returns ``[(system, result), ...]`` in
-    :data:`ENGINES` order.
-    """
+    """Run ``build(system) -> result`` once per engine; returns
+    ``[(system, result), ...]`` in :data:`ENGINES` order."""
     out = []
-    g0 = global_counter_state()
     for engine in ENGINES:
-        set_global_counter_state(g0)
         system = System(MACHINE, engine=engine, **system_kw)
         out.append((system, build(system)))
     return out
@@ -245,8 +236,8 @@ class TestPerfAndPapiParity:
             fd_e = _open_counting(system, "cpu_atom", t.tid)
             assert system.machine.run_until_done([t], max_s=10)
             return t, (
-                _read_fields(system.perf.read(fd_p)),
-                _read_fields(system.perf.read(fd_e)),
+                system.perf.read(fd_p),
+                system.perf.read(fd_e),
             )
 
         (ss, (t_slow, r_slow)), (se, (t_ev, r_ev)) = _run_matrix(
@@ -275,7 +266,7 @@ class TestPerfAndPapiParity:
                 for c in (0x00C0, 0x003C)
             ]
             assert system.machine.run_until_done([t], max_s=100)
-            return [_read_fields(system.perf.read(fd)) for fd in fds]
+            return [system.perf.read(fd) for fd in fds]
 
         (ss, r_slow), (se, r_ev) = _run_matrix(build, dt_s=0.01)
         assert r_slow == r_ev
@@ -320,7 +311,7 @@ class TestMultiplexedBatching:
             return t, [system.perf.read(fd) for fd in fds]
 
         (ss, (t_slow, r_slow)), (se, (t_ev, r_ev)) = _run_matrix(build, dt_s=0.001)
-        assert [_read_fields(r) for r in r_slow] == [_read_fields(r) for r in r_ev]
+        assert r_slow == r_ev
         # The events really were multiplexed, and the scaled estimate
         # still reconstructs the full instruction count.
         for rv in r_ev:
@@ -515,7 +506,7 @@ class TestFaultInjectionParity:
             assert m.run_until_done([surv, roam], max_s=10)
             assert inj.pending == 0
             return [surv, roam], [
-                _read_fields(system.perf.read(fd)) for fd in fds
+                system.perf.read(fd) for fd in fds
             ]
 
         (ss, (ts_slow, r_slow)), (se, (ts_ev, r_ev)) = _run_matrix(build, dt_s=0.001)
@@ -611,7 +602,7 @@ class TestFaultInjectionParity:
             inj = system.inject_faults(plan)
             m.run_for(0.08)
             assert inj.pending == 0
-            return [t], _read_fields(system.perf.read(fd))
+            return [t], system.perf.read(fd)
 
         (ss, (ts_slow, r_slow)), (se, (ts_ev, r_ev)) = _run_matrix(build, dt_s=0.001)
         assert r_slow == r_ev
@@ -690,7 +681,6 @@ class TestTraceAndCheckpointMatrix:
             return ts
 
         path = str(tmp_path / "midrun.ckpt")
-        g0 = global_counter_state()
         se = System(MACHINE, engine="events", dt_s=0.001)
         build(se)
         se.save(path)
@@ -705,21 +695,10 @@ class TestTraceAndCheckpointMatrix:
 
         # And the whole continuation matches the ``ticks`` reference
         # running the same scenario straight through.
-        set_global_counter_state(g0)
         ref = System(MACHINE, engine="ticks", dt_s=0.001)
         build(ref)
         ref.machine.run_ticks(160)
         assert ref.state_digest() == se.state_digest()
-
-
-def _read_fields(read_value):
-    """PerfReadValue minus the process-global ``id`` field, which differs
-    between two System instances by construction."""
-    return (
-        read_value.value,
-        read_value.time_enabled_ns,
-        read_value.time_running_ns,
-    )
 
 
 def _open_counting(system, pmu_name, tid, config=0x00C0):

@@ -27,9 +27,9 @@ from repro.supervisor import (
     ResultCache,
     RunSpec,
     Supervisor,
-    read_heartbeat,
     spec_digest,
 )
+from repro.checkpoint import SnapshotError, read_header
 
 #: Small, fast HPL point used throughout.
 HPL_PARAMS = {"n": 1000, "nb": 128, "slice_s": 0.02, "dt_s": 0.01}
@@ -312,7 +312,9 @@ SWEEP = os.path.join(
 #: Two HPL runs; chaos seed 17 wedges ``hpl-openblas-n1000`` at sim
 #: 0.06 s on attempt 1 (alive, heartbeating, no progress) and leaves
 #: ``hpl-openblas-n1100`` calm.  The long stuck window keeps the wedged
-#: worker in flight until the test kills its supervisor.
+#: worker in flight until the test kills its supervisor.  Checkpoints
+#: land at sim 0.02 s and then every 0.039 s of it, so one lands at the
+#: stall point itself (at 0.04 the float gap 0.06 - 0.02 falls short).
 WEDGE = "hpl-openblas-n1000"
 WEDGE_SWEEP_ARGS = [
     "--n", "1000", "1100",
@@ -322,7 +324,7 @@ WEDGE_SWEEP_ARGS = [
     "--workers", "2",
     "--backoff-s", "0",
     "--slice-s", "0.02",
-    "--checkpoint-every-s", "0.04",
+    "--checkpoint-every-s", "0.039",
 ]
 
 
@@ -367,7 +369,7 @@ class TestSweepCrashSafety:
 
     def _start_wedged_sweep(self, tmp_path):
         """Start the sweep in its own session and wait until the wedged
-        worker heartbeats past its stall point; returns (proc, out dir,
+        worker checkpoints at its stall point; returns (proc, out dir,
         wedged worker pid, log path)."""
         out = str(tmp_path / "sweep")
         log_path = str(tmp_path / "sweep.log")
@@ -378,12 +380,18 @@ class TestSweepCrashSafety:
                 stderr=subprocess.STDOUT,
                 start_new_session=True,
             )
-        heartbeat = os.path.join(out, WEDGE, "heartbeat.json")
+        checkpoint = os.path.join(out, WEDGE, "checkpoint.snap")
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            hb = read_heartbeat(heartbeat)
-            if hb is not None and (hb.get("sim_time_s") or 0.0) >= 0.06:
-                return proc, out, hb["pid"], log_path
+            try:
+                sim_time_s = read_header(checkpoint)["meta"]["sim_time_s"]
+            except (OSError, SnapshotError):
+                sim_time_s = 0.0
+            if sim_time_s >= 0.06:
+                # The journaled launch carries the worker's pid.
+                for event in _journal_events(out):
+                    if event["type"] == "launch" and event["run_id"] == WEDGE:
+                        return proc, out, event["pid"], log_path
             assert proc.poll() is None, open(log_path).read()
             time.sleep(0.02)
         proc.kill()

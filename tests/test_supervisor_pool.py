@@ -5,13 +5,13 @@ real ``time.sleep`` anywhere in the scheduling path.  Liveness tests use
 real forked workers wedged by the deterministic ``stall_at_s`` /
 ``spawner`` fixtures in :mod:`repro.supervisor.runs`.  Tests that must
 act mid-run (kill a worker, request a drain) do it from the injected
-``sleep`` once a heartbeat shows simulated progress, so no helper
-thread is alive when the pool forks.
+``sleep`` once a file the sweep writes anyway shows the moment — a
+``launch`` in the journal, a checkpoint on disk — so no helper thread
+is alive when the pool forks.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import signal
@@ -22,8 +22,7 @@ import time
 import pytest
 
 import repro.supervisor.supervisor as supervisor_module
-from repro.checkpoint.snapshot import read_header
-from repro.checkpoint.surface import global_counter_state, set_global_counter_state
+from repro.kernel.perf import PerfEventAttr
 from repro.supervisor import (
     DONE,
     FAILED,
@@ -32,9 +31,8 @@ from repro.supervisor import (
     Supervisor,
     backoff_delay,
     default_worker_count,
-    heartbeat_path,
-    read_heartbeat,
 )
+from repro.system import System
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -55,24 +53,28 @@ def _result(sup, run_id):
         return json.load(fh)
 
 
-def _when_progressing(run_dir, attempt, action):
-    """An injectable ``sleep`` that calls ``action(heartbeat)`` once, as
-    soon as ``attempt``'s heartbeat in ``run_dir`` reports sim time."""
+def _once(ready, action):
+    """An injectable ``sleep`` that calls ``action(found)`` once, as soon
+    as ``ready()`` finds something (anything but None)."""
     fired = []
 
     def sleep(seconds: float) -> None:
-        hb = read_heartbeat(heartbeat_path(run_dir))
-        if (
-            not fired
-            and hb is not None
-            and hb.get("attempt") == attempt
-            and hb.get("sim_time_s") is not None
-        ):
-            fired.append(hb)
-            action(hb)
+        if not fired:
+            found = ready()
+            if found is not None:
+                fired.append(found)
+                action(found)
         time.sleep(seconds)
 
     return sleep
+
+
+def _launched(sup, attempt):
+    """``attempt``'s journaled ``launch`` event, or None before it."""
+    for event in _journal_events(sup, "launch"):
+        if event["attempt"] == attempt:
+            return event
+    return None
 
 
 class FakeTime:
@@ -281,9 +283,10 @@ class TestCrashClassification:
         self, tmp_path
     ):
         """Attempt 1 times out (error.json: SimTimeout, stuck threads);
-        attempt 2 resumes, wedges and is SIGKILLed before writing any
-        error.  Its exit must read as a bare crash, not as attempt 1's
-        leftover error.json."""
+        attempt 2, which would resume and wedge, is SIGKILLed once its
+        launch is journaled, before it can write any error.  Its exit
+        must read as a bare crash, not as attempt 1's leftover
+        error.json."""
         out = tmp_path / "sweep"
         sup = Supervisor(
             str(out),
@@ -292,8 +295,9 @@ class TestCrashClassification:
             checkpoint_every_s=1.0,
             workers=1,
             log=lambda m: None,
-            sleep=_when_progressing(
-                str(out / "flaky"), 2, lambda hb: os.kill(hb["pid"], signal.SIGKILL)
+            sleep=_once(
+                lambda: _launched(sup, 2),
+                lambda launch: os.kill(launch["pid"], signal.SIGKILL),
             ),
         )
         params = dict(
@@ -314,21 +318,23 @@ class TestCrashClassification:
 
 class TestForkedWorker:
     def test_forked_worker_matches_a_fresh_interpreter(self, tmp_path):
-        """A worker forked from a process whose global counters moved
-        writes the same result and checkpoint globals as
-        ``python -m repro.supervisor.worker --spec`` in a new process."""
-        g0 = global_counter_state()
-        set_global_counter_state({"kernel.perf.next_event_id": 12345})
-        try:
-            sup = Supervisor(
-                str(tmp_path / "sweep"),
-                checkpoint_every_s=0.04,
-                workers=1,
-                log=lambda m: None,
+        """A worker forked from a process that already opened perf events
+        on another System writes the same result — ``state_digest``
+        included — as ``python -m repro.supervisor.worker --spec`` in a
+        new process."""
+        other = System("raptor-lake-i7-13700", dt_s=0.01)
+        ptype = other.perf.registry.by_name["cpu_core"].type
+        for _ in range(3):
+            other.perf.perf_event_open(
+                PerfEventAttr(type=ptype, config=0x00C0), pid=-1, cpu=0
             )
-            manifest = sup.run([RunSpec("point", "hpl", dict(HPL_PARAMS))])
-        finally:
-            set_global_counter_state(g0)
+        sup = Supervisor(
+            str(tmp_path / "sweep"),
+            checkpoint_every_s=0.04,
+            workers=1,
+            log=lambda m: None,
+        )
+        manifest = sup.run([RunSpec("point", "hpl", dict(HPL_PARAMS))])
         assert manifest.runs["point"].status == DONE
         forked_dir = tmp_path / "sweep" / "point"
 
@@ -355,9 +361,6 @@ class TestForkedWorker:
         assert (forked_dir / "result.json").read_bytes() == (
             fresh_dir / "result.json"
         ).read_bytes()
-        forked = read_header(str(forked_dir / "checkpoint.snap"))["globals"]
-        fresh = read_header(str(fresh_dir / "checkpoint.snap"))["globals"]
-        assert forked == fresh
 
 
 class TestDrain:
@@ -376,16 +379,16 @@ class TestDrain:
         control.run([RunSpec("big", "hpl", big)])
         digest = _result(control, "big")["state_digest"]
 
+        checkpoint = tmp_path / "sweep" / "big" / "checkpoint.snap"
         sup = Supervisor(
             str(tmp_path / "sweep"),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
             workers=1,
             log=lambda m: None,
-            sleep=_when_progressing(
-                str(tmp_path / "sweep" / "big"),
-                1,
-                lambda hb: sup.request_drain(),
+            sleep=_once(
+                lambda: checkpoint if checkpoint.exists() else None,
+                lambda _: sup.request_drain(),
             ),
         )
         manifest = sup.run([RunSpec("big", "hpl", big)])
@@ -414,16 +417,7 @@ class TestDrain:
         assert _result(sup2, "big")["state_digest"] == digest
 
 
-def _pidfds_work() -> bool:
-    try:
-        os.close(os.pidfd_open(os.getpid()))
-    except (AttributeError, OSError):
-        return False
-    return True
-
-
 class TestWait:
-    @pytest.mark.skipif(not _pidfds_work(), reason="no pidfds on this host")
     def test_a_worker_exit_ends_the_wait(self, tmp_path, monkeypatch):
         """With the liveness interval at 5 s, three one-slot runs in a
         row finish inside one interval: each exit wakes the loop, which
@@ -445,51 +439,13 @@ class TestWait:
         assert time.monotonic() - t0 < 5.0
         assert all(rec.status == DONE for rec in manifest.runs.values())
 
-    @pytest.mark.parametrize("pidfds", ["missing", "refused"])
-    def test_without_pidfds_the_sweep_completes_by_polling(
-        self, tmp_path, monkeypatch, pidfds
-    ):
-        """Where ``os.pidfd_open`` does not exist (non-Linux) or raises
-        (a seccomp filter), the loop paces by sleeping and the results
-        are the bytes a pidfd-waiting sweep writes."""
-        spec = RunSpec("point", "hpl", dict(HPL_PARAMS))
-        reference = Supervisor(
-            str(tmp_path / "reference"),
-            checkpoint_every_s=0.04,
-            workers=1,
-            log=lambda m: None,
-        )
-        reference.run([spec])
-
-        refused = []
-        if pidfds == "missing":
-            monkeypatch.delattr(os, "pidfd_open", raising=False)
-        else:
-
-            def pidfd_open(pid, flags=0):
-                refused.append(pid)
-                raise OSError(errno.EPERM, "pidfd_open refused")
-
-            monkeypatch.setattr(os, "pidfd_open", pidfd_open)
-        sup = Supervisor(
-            str(tmp_path / "sweep"),
-            checkpoint_every_s=0.04,
-            workers=1,
-            log=lambda m: None,
-        )
-        manifest = sup.run([spec])
-        assert manifest.runs["point"].status == DONE
-        assert pidfds == "missing" or refused
-        assert (tmp_path / "sweep" / "point" / "result.json").read_bytes() == (
-            tmp_path / "reference" / "point" / "result.json"
-        ).read_bytes()
-
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd"
     )
     def test_no_descriptor_outlives_a_sweep(self, tmp_path):
         """A crash retry and a stuck kill leave the supervisor holding
-        exactly the descriptors it started with: no pidfd leaks."""
+        exactly the descriptors it started with: no heartbeat pipe
+        leaks."""
         before = len(os.listdir("/proc/self/fd"))
         sup = Supervisor(
             str(tmp_path / "sweep"),
@@ -517,4 +473,32 @@ class TestWait:
         assert all(rec.status == DONE for rec in manifest.runs.values())
         assert sup.metrics.counters[("fleet.retry", None)] == 2.0
         assert sup.metrics.counters[("fleet.liveness_kill", "stuck")] == 1.0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd"
+    )
+    def test_a_sweep_cut_short_closes_its_pipes(self, tmp_path):
+        """An exception out of the loop leaves the worker running (a
+        resume reaps it) but closes its heartbeat pipe."""
+
+        class CutShort(Exception):
+            pass
+
+        def sleep(seconds: float) -> None:
+            raise CutShort
+
+        before = len(os.listdir("/proc/self/fd"))
+        sup = Supervisor(
+            str(tmp_path / "sweep"),
+            checkpoint_every_s=0.04,
+            workers=1,
+            log=lambda m: None,
+            sleep=sleep,
+        )
+        with pytest.raises(CutShort):
+            sup.run([RunSpec("big", "hpl", dict(HPL_PARAMS, n=20000))])
+        pid = _launched(sup, 1)["pid"]
+        os.killpg(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
         assert len(os.listdir("/proc/self/fd")) == before

@@ -13,7 +13,6 @@ Every scenario runs four ways — ``engine`` × ``trace`` — and asserts:
 
 from __future__ import annotations
 
-from repro.checkpoint.surface import global_counter_state, set_global_counter_state
 from repro.papi import Papi
 from repro.sim.task import Program, SimThread
 from repro.sim.workload import ComputePhase, PhaseRates, constant_rates
@@ -32,17 +31,10 @@ RATES = PhaseRates(
 
 
 def _run_matrix(build, **system_kw):
-    """Run ``build(system) -> result`` under engine × trace.
-
-    Global counters (the perf event-id allocator) are rewound between
-    runs so all four systems hand out identical ids, making digests and
-    trace dumps directly comparable.
-    """
-    g0 = global_counter_state()
+    """Run ``build(system) -> result`` under engine × trace."""
     out = {}
     for engine in ("ticks", "events"):
         for trace in (False, True):
-            set_global_counter_state(g0)
             system = System(MACHINE, engine=engine, trace=trace, **system_kw)
             result = build(system)
             out[(engine, trace)] = (system, result)
@@ -221,12 +213,10 @@ class TestTraceParity:
         equal to an untraced clone — the digest-exclusion contract."""
         from repro.checkpoint.pickler import dumps, loads
 
-        g0 = global_counter_state()
         traced = System(MACHINE, dt_s=0.01, trace=True)
         _compute_thread(traced)
         traced.machine.run_for(0.1)
 
-        set_global_counter_state(g0)
         plain = System(MACHINE, dt_s=0.01)
         _compute_thread(plain)
         plain.machine.run_for(0.1)
