@@ -35,7 +35,7 @@ from repro.checkpoint import pickler
 from repro.checkpoint.digest import DIGEST_ALGO
 
 MAGIC = b"REPRO-SNAPSHOT\n"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 class SnapshotError(RuntimeError):

@@ -6,8 +6,7 @@ core microarchitectures (:mod:`repro.hw.coretype`), CPU topologies
 (:mod:`repro.hw.machines`), DVFS (:mod:`repro.hw.dvfs`), the RC thermal
 model (:mod:`repro.hw.thermal`), the power model (:mod:`repro.hw.power`),
 RAPL energy accounting and power capping (:mod:`repro.hw.rapl`), the
-shared last-level cache (:mod:`repro.hw.cache`), per-core performance
-monitoring hardware (:mod:`repro.hw.pmu`) and CPU identification
+shared last-level cache (:mod:`repro.hw.cache`) and CPU identification
 (:mod:`repro.hw.cpuid`).
 """
 
@@ -25,7 +24,6 @@ from repro.hw.thermal import ThermalModel, ThermalZone
 from repro.hw.power import PowerModel
 from repro.hw.rapl import RaplDomain, RaplPackage
 from repro.hw.cache import LlcModel
-from repro.hw.pmu import CorePmu, CounterDelta
 from repro.hw.cpuid import CpuidEmulator, ArmMidr
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "RaplDomain",
     "RaplPackage",
     "LlcModel",
-    "CorePmu",
-    "CounterDelta",
     "CpuidEmulator",
     "ArmMidr",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.checkpoint.surface import snapshot_surface
 from repro.hw.coretype import ArchEvent
-from repro.kernel.perf.attr import PerfEventAttr, ReadFormat
+from repro.kernel.perf.attr import PerfEventAttr
 from repro.kernel.perf.pmu import KernelPmu, PmuKind
 
 
@@ -317,8 +317,10 @@ class KernelPerfEvent:
             id=self.id,
         )
 
-    def wants(self, flag: ReadFormat) -> bool:
-        return bool(self.attr.read_format & flag)
+    def wants(self, flag: int) -> bool:
+        """Whether ``attr.read_format`` has ``flag`` (a plain int:
+        ``ReadFormat`` arithmetic builds a flag member per test)."""
+        return int(self.attr.read_format) & flag != 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tgt = f"tid={self.target_tid}" if self.target_tid is not None else f"cpu={self.target_cpu}"

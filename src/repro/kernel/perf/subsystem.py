@@ -18,8 +18,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
-import numpy as np
-
 from repro.checkpoint.surface import snapshot_surface
 from repro.hw.coretype import ArchEvent
 from repro.hw.sensor import SensorReadError
@@ -43,6 +41,12 @@ from repro.kernel.syscall_cost import SyscallCostModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Machine
     from repro.sim.task import SimThread
+    from repro.sim.workload import PhaseRates
+
+#: Plain ints of the flag and event slot the hot paths test (IntFlag and
+#: IntEnum arithmetic builds enum members per use).
+_READ_GROUP = int(ReadFormat.GROUP)
+_REF_CYCLES = int(ArchEvent.REF_CYCLES)
 
 #: How often the kernel rotates multiplexed event groups (per-thread
 #: runtime clock), matching the scheduler-tick-driven rotation in Linux.
@@ -468,7 +472,7 @@ class PerfSubsystem:
         self, fd: int, caller: Optional["SimThread"] = None
     ) -> PerfReadValue | list[PerfReadValue]:
         event = self._event(fd)
-        group = event.wants(ReadFormat.GROUP)
+        group = event.wants(_READ_GROUP)
         self.cost.charge(caller, "read_group" if group else "read")
         self._maybe_fail("read")
         tr = self.machine.tracer
@@ -555,7 +559,13 @@ class PerfSubsystem:
     # ------------------------------------------------------------- accounting
 
     def _account(
-        self, thread: "SimThread", core: Core, values: np.ndarray, time_s: float
+        self,
+        thread: "SimThread",
+        core: Core,
+        rates: PhaseRates,
+        instr: float,
+        ref_cycles: float,
+        time_s: float,
     ) -> None:
         if not self._fds:
             return  # nothing has ever been opened (or all fds closed)
@@ -565,6 +575,9 @@ class PerfSubsystem:
         uncore = self._uncore_events
         if not events and not cpuwide and not uncore:
             return
+        # The bucket's event vector, built once for every event credited.
+        values = self.machine._rate_vec(core.ctype, rates) * instr
+        values[_REF_CYCLES] = ref_cycles
         rec = self.machine._rec
         tr = self.machine.tracer
         if tr is not None and not tr.perf:

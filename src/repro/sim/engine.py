@@ -6,8 +6,8 @@
 2. the scheduler places runnable threads on CPUs,
 3. each placed thread executes its time share at the CPU's current DVFS
    frequency, generating architectural counter events that are credited to
-   the thread (per PMU), the per-CPU hardware PMU, and any registered
-   account hooks (the kernel perf layer),
+   the thread (per PMU) and any registered account hooks (the kernel perf
+   layer),
 4. power is sampled; RAPL accounts energy and runs the PL1/PL2 capping
    controller; the thermal model integrates and applies throttling,
 5. the DVFS governor picks next-tick frequencies.
@@ -19,13 +19,16 @@ Accounting kernel
 
 Event generation is *fused per slice*: while a thread executes its time
 share, each work chunk only accumulates ``(instructions, seconds)`` into a
-per-rates bucket; the architectural event vector is materialized once per
-bucket as a single numpy multiply of a cached per-``(core type, rates)``
-*event-rate vector* (events per retired instruction).  Buckets are flushed
-early at every point where other code could observe counters — before a
-:class:`ControlOp` runs, before a phase ``on_complete`` callback, and when
-the thread blocks or finishes — so the fusion is invisible to measured
-programs.
+per-rates bucket.  Buckets are flushed early at every point where other
+code could observe them — before a :class:`ControlOp` runs, before a phase
+``on_complete`` callback, and when the thread blocks or finishes — so the
+fusion is invisible to measured programs.  A flush hands each bucket's
+``(core type, rates, instructions, reference cycles, seconds)`` to
+:meth:`SimThread.account` and to every account hook.  The thread appends
+it to a small ledger and materializes the architectural event vectors
+(per-instruction rate vector times instructions) in bulk when the ledger
+fills or its ``counters`` are read; the perf hook builds the vector only
+when it has an event to credit.
 
 Engines
 -------
@@ -53,12 +56,11 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from repro.checkpoint.surface import snapshot_surface
-from repro.hw.coretype import ArchEvent, CoreType, N_ARCH_EVENTS
+from repro.hw.coretype import CoreType
 from repro.hw.cpuid import CpuidEmulator
 from repro.hw.cache import LlcModel
 from repro.hw.dvfs import DvfsGovernor
 from repro.hw.machines import MachineSpec
-from repro.hw.pmu import CorePmu
 from repro.hw.power import PowerModel, PowerSample, SPIN_POWER_FRACTION
 from repro.hw.rapl import RaplPackage
 from repro.hw.thermal import ThermalModel
@@ -81,15 +83,9 @@ from repro.sim.workload import (
 #: Safety valve: max control ops a thread may run inside one time slice.
 MAX_CONTROL_OPS_PER_SLICE = 100_000
 
-#: Cap on the identity-keyed rate-vector cache; a workload that builds a
-#: fresh ``PhaseRates`` per call falls back to the value-keyed cache.
-_RATE_VEC_ID_CACHE_CAP = 4096
-
-#: Plain-int index of the time-based event slot patched at flush time
-#: (IntEnum indexing costs a conversion per use on the hot path).
-_REF_CYCLES = int(ArchEvent.REF_CYCLES)
-
-AccountHook = Callable[[SimThread, Core, np.ndarray, float], None]
+#: ``hook(thread, core, rates, instructions, ref_cycles, time_s)``: the
+#: inputs of one :meth:`SimThread.account` call, on the core that ran it.
+AccountHook = Callable[[SimThread, Core, PhaseRates, float, float, float], None]
 TickHook = Callable[["Machine"], None]
 HotplugHook = Callable[[int, bool], None]
 
@@ -131,7 +127,6 @@ class SimTimeout(RuntimeError):
         "thermal",
         "rapl",
         "power_model",
-        "pmus",
         "llc",
         "cpuid",
         "tsc_ghz",
@@ -148,11 +143,9 @@ class SimTimeout(RuntimeError):
         "_fastpath_safe_hooks",
     ),
     caches=(
-        "_rate_vecs_by_id",
-        "_rate_vecs_by_value",
+        "_rate_vecs",
         "_rec",
         "_sched_cache",
-        "_vec_scratch",
     ),
     rebuild="_init_snapshot_caches",
     digest_exclude=(
@@ -161,9 +154,9 @@ class SimTimeout(RuntimeError):
         "tracer",
     ),
     note=(
-        "Rate-vector caches are identity-keyed memos rebuilt lazily; a "
-        "tick recorder never outlives a tick.  Engine-path selection, "
-        "the checkpoint breadcrumb and the tracer (a pure observer that "
+        "The rate-vector memo is rebuilt lazily; a tick recorder never "
+        "outlives a tick.  Engine-path selection, the checkpoint "
+        "breadcrumb and the tracer (a pure observer that "
         "must not perturb trace-on/off digest parity) are configuration, "
         "not machine state, so they stay out of the digest."
     ),
@@ -194,7 +187,6 @@ class Machine:
         self.rapl = RaplPackage(spec)
         self.llc = LlcModel(float(spec.extra.get("llc_mib", 8.0)))
         self.cpuid = CpuidEmulator(spec)
-        self.pmus = [CorePmu(c.cpu_id, c.ctype) for c in self.topology.cores]
         self.scheduler = Scheduler(
             self.topology,
             seed=seed,
@@ -231,18 +223,15 @@ class Machine:
     def _init_snapshot_caches(self) -> None:
         """(Re)create the cache attributes excluded from snapshots.
 
-        Event-rate vector caches are identity-keyed hot memos over a
-        value-keyed canonical cache (see ``_rate_vec``); ``_rec`` is the
-        active tick recorder (event engine only; None on every plain
-        tick); ``_sched_cache`` replays provably side-effect-free sticky
-        placements (event engine only — the ``ticks`` reference exercises
-        the scheduler every tick, which is what keeps the cache honest
-        under the parity matrix).
+        ``_rate_vecs`` memoizes event-rate vectors by value (see
+        ``_rate_vec``); ``_rec`` is the active tick recorder (event engine
+        only; None on every plain tick); ``_sched_cache`` replays provably
+        side-effect-free sticky placements (event engine only — the
+        ``ticks`` reference exercises the scheduler every tick, which is
+        what keeps the cache honest under the parity matrix).
         """
-        self._rate_vecs_by_id: dict = {}
-        self._rate_vecs_by_value: dict = {}
+        self._rate_vecs: dict = {}
         self._rec = None
-        self._vec_scratch = np.zeros(N_ARCH_EVENTS, dtype=np.float64)
         if getattr(self, "engine", None) == "events":
             self._sched_cache = SchedCache(self.scheduler)
         else:
@@ -675,47 +664,29 @@ class Machine:
         return busy_s, spin_s
 
     def _flush_slice(self, thread: SimThread, core: Core, buckets: dict) -> None:
-        """Materialize fused event vectors and credit all consumers.
-
-        The event vector handed to consumers is transient: accounting
-        hooks must read it during the call, never retain it.  With no
-        recorder live (nothing retains the vector for replay) it is a
-        reused scratch buffer, so flushing allocates nothing.
-        """
+        """Credit each bucket to the thread and to every account hook."""
         rec = self._rec
         ct = core.ctype
-        pmu_name = ct.pmu_name
-        totals = self.pmus[core.cpu_id].totals
         ref_per_s = self.tsc_ghz * 1e9
-        scratch = self._vec_scratch if rec is None else None
         hooks = self.account_hooks
         for rates, instr, time_s in buckets.values():
             if time_s <= 0:
                 continue
-            if scratch is None:
-                v = self._rate_vec(ct, rates) * instr
-            else:
-                v = np.multiply(self._rate_vec(ct, rates), instr, out=scratch)
-            v[_REF_CYCLES] = ref_per_s * time_s
-            thread.account(pmu_name, v, time_s, rec)
-            totals += v
-            if rec is not None:
-                rec.vec(totals, v)
+            ref_cycles = ref_per_s * time_s
+            thread.account(ct, rates, instr, ref_cycles, time_s, rec)
             for hook in hooks:
-                hook(thread, core, v, time_s)
+                hook(thread, core, rates, instr, ref_cycles, time_s)
         buckets.clear()
 
     def _rate_vec(self, ct: CoreType, rates: PhaseRates) -> np.ndarray:
-        """Cached per-instruction architectural event rates.
+        """Per-instruction architectural event rates for the perf account
+        hook (a thread's ledger resolves its own at settle), memoized by
+        value: a rates function may build a fresh ``PhaseRates`` per call.
 
         ``REF_CYCLES`` is time-based, not instruction-based; its slot is
-        zero here and patched from accumulated seconds at flush time.
+        zero here and the caller sets it from the bucket's seconds.
         """
-        key = (id(ct), id(rates))
-        entry = self._rate_vecs_by_id.get(key)
-        if entry is not None:
-            return entry[0]
-        vkey = (
+        key = (
             id(ct),
             rates.ipc,
             rates.flops_per_instr,
@@ -726,16 +697,11 @@ class Machine:
             rates.branches_per_instr,
             rates.branch_miss_rate,
         )
-        vec = self._rate_vecs_by_value.get(vkey)
+        vec = self._rate_vecs.get(key)
         if vec is None:
             # Shared with the validation oracle: sim.workload owns the
             # PhaseRates -> event-vector translation.
-            vec = self._rate_vecs_by_value[vkey] = arch_event_rates(ct, rates)
-        if len(self._rate_vecs_by_id) >= _RATE_VEC_ID_CACHE_CAP:
-            self._rate_vecs_by_id.clear()
-        # The entry pins ct and rates: while it lives, no other object
-        # can take over their id() and be answered with this vector.
-        self._rate_vecs_by_id[key] = (vec, ct, rates)
+            vec = self._rate_vecs[key] = arch_event_rates(ct, rates)
         return vec
 
     # -- convenience runners ---------------------------------------------------

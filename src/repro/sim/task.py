@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from repro.checkpoint.surface import snapshot_surface
-from repro.hw.coretype import N_ARCH_EVENTS
-from repro.sim.workload import ComputePhase, PhaseRates, WorkPhase, constant_rates
+from repro.hw.coretype import ArchEvent, CoreType, N_ARCH_EVENTS
+from repro.sim.workload import ComputePhase, PhaseRates, WorkPhase, arch_event_rates, constant_rates
 
 
 class ThreadState(enum.Enum):
@@ -34,6 +34,13 @@ class ThreadState(enum.Enum):
 #: Rates used for injected overhead work (library/syscall code: scalar,
 #: branchy, cache-resident).
 OVERHEAD_RATES = PhaseRates(ipc=1.6, branches_per_instr=0.2, branch_miss_rate=0.02)
+
+#: Buckets a thread's ledger holds before they settle into its counters.
+LEDGER_CAP = 64
+
+#: Plain-int index of the time-based event slot (IntEnum indexing converts).
+_REF_CYCLES = int(ArchEvent.REF_CYCLES)
+
 
 class ControlOp:
     """An instantaneous action at a phase boundary (e.g. a PAPI call)."""
@@ -74,7 +81,8 @@ class Program:
         "vruntime",
         "wake_at_s",
         "current_phase",
-        "counters",
+        "_counters",
+        "_ledger",
         "runtime_s",
         "total_runtime_s",
         "spin_time_s",
@@ -84,14 +92,16 @@ class Program:
     ),
     note="Everything is state: run/ready/blocked status, the in-flight "
     "phase (including closure-captured coordinators and barriers), "
-    "per-PMU counters, accrued runtimes, pending control ops."
+    "per-PMU counters (the accounting ledger settles first, so it is "
+    "always empty here), accrued runtimes, pending control ops."
 )
 class SimThread:
     """One schedulable thread.
 
     Ground-truth architectural counters are kept per PMU name (i.e. per
     core type the thread has run on) — the reference the perf/PAPI stack
-    is validated against.
+    is validated against.  :meth:`account` defers the event vectors to a
+    small ledger; reading :attr:`counters` settles it first.
     """
 
     def __init__(
@@ -113,7 +123,10 @@ class SimThread:
         self.current_phase: Optional[WorkPhase] = None
         self.wake_at_s: Optional[float] = None
 
-        self.counters: dict[str, np.ndarray] = {}
+        self._counters: dict[str, np.ndarray] = {}
+        #: Accounted buckets not yet added into ``_counters``, in order:
+        #: (core type, rates, instructions, reference cycles).
+        self._ledger: list[tuple] = []
         self.runtime_s: dict[str, float] = {}
         self.total_runtime_s = 0.0
         self.spin_time_s = 0.0
@@ -144,25 +157,97 @@ class SimThread:
     # -- accounting --------------------------------------------------------
 
     def account(
-        self, pmu_name: str, values: np.ndarray, time_s: float, rec=None
+        self,
+        ct: CoreType,
+        rates: PhaseRates,
+        instr: float,
+        ref_cycles: float,
+        time_s: float,
+        rec=None,
     ) -> None:
-        buf = self.counters.get(pmu_name)
-        if buf is None:
-            buf = np.zeros(N_ARCH_EVENTS, dtype=np.float64)
-            self.counters[pmu_name] = buf
-        buf += values
+        """Credit ``instr`` instructions at ``rates`` and ``ref_cycles``
+        TSC cycles in ``time_s`` seconds on a ``ct`` core.  Runtimes update
+        at once and the event vector joins the ledger, except in a recorded
+        tick (``rec``), which settles and adds eagerly for the recorder."""
+        pmu_name = ct.pmu_name
         self.runtime_s[pmu_name] = self.runtime_s.get(pmu_name, 0.0) + time_s
         self.total_runtime_s += time_s
-        if rec is not None:
-            rec.vec(buf, values)
-            rec.dict_add(self.runtime_s, pmu_name, time_s)
-            rec.rt_add(self, time_s)
+        ledger = self._ledger
+        if rec is None:
+            ledger.append((ct, rates, instr, ref_cycles))
+            if len(ledger) >= LEDGER_CAP:
+                self._settle()
+            return
+        if ledger:
+            self._settle()
+        buf = self._counters.setdefault(pmu_name, np.zeros(N_ARCH_EVENTS))
+        v = arch_event_rates(ct, rates) * instr
+        v[_REF_CYCLES] = ref_cycles
+        buf += v
+        rec.vec(buf, v)
+        rec.dict_add(self.runtime_s, pmu_name, time_s)
+        rec.rt_add(self, time_s)
+
+    def _settle(self) -> None:
+        """Add the ledger's buckets into ``_counters``, in ledger order.
+
+        A bucket's vector is its own rate vector times its own
+        instructions, its reference cycles in ``REF_CYCLES``.  Each event
+        row of a PMU's block holds the buffer then the vectors, and
+        ``np.add.accumulate`` along it rounds every partial sum exactly as
+        sequential ``buf += v`` adds do (``sum`` adds in pairs).  The
+        buffer is updated in place, so a recorder's reference stays live.
+        """
+        ledger = self._ledger
+        if not ledger:
+            return
+        cols: dict = {}     # (id(ct), id(rates)) -> column of `vecs`
+        vecs: list = []
+        groups: dict = {}   # PMU name -> (columns, instructions, ref cycles)
+        run_ct = run_rates = None
+        for ct, rates, instr, ref_cycles in ledger:
+            # Consecutive buckets mostly share a pair: resolve it per run.
+            if rates is not run_rates or ct is not run_ct:
+                run_ct, run_rates = ct, rates
+                key = (id(ct), id(rates))
+                col = cols.get(key)
+                if col is None:
+                    col = cols[key] = len(vecs)
+                    vecs.append(arch_event_rates(ct, rates))
+                group = groups.get(ct.pmu_name)
+                if group is None:
+                    group = groups[ct.pmu_name] = ([], [], [])
+                idx, instrs, refs = group
+            idx.append(col)
+            instrs.append(instr)
+            refs.append(ref_cycles)
+        ledger.clear()
+        by_event = np.array(vecs).T
+        for pmu_name, (idx, instrs, refs) in groups.items():
+            buf = self._counters.setdefault(pmu_name, np.zeros(N_ARCH_EVENTS))
+            block = np.empty((N_ARCH_EVENTS, len(idx) + 1))
+            block[:, 0] = buf
+            np.multiply(by_event.take(idx, axis=1), instrs, out=block[:, 1:])
+            block[_REF_CYCLES, 1:] = refs
+            np.add.accumulate(block, axis=1, out=block)
+            buf[:] = block[:, -1]
+
+    @property
+    def counters(self) -> dict[str, np.ndarray]:
+        """Ground-truth counters per PMU name, with the ledger settled."""
+        if self._ledger:
+            self._settle()
+        return self._counters
 
     def counters_total(self) -> np.ndarray:
         total = np.zeros(N_ARCH_EVENTS, dtype=np.float64)
         for buf in self.counters.values():
             total += buf
         return total
+
+    def __getstate__(self) -> dict:
+        self._settle()
+        return self.__dict__
 
     def allowed_on(self, cpu_id: int) -> bool:
         return self.affinity is None or cpu_id in self.affinity

@@ -63,14 +63,15 @@ def arch_event_rates(ct: CoreType, rates: PhaseRates) -> np.ndarray:
     """Per-instruction architectural event rates of a phase on ``ct``.
 
     This is *the* translation from :class:`PhaseRates` to the 14-slot
-    architectural event vector — both the engine's accounting hot path
-    (via its caches) and the validation oracle call it, so measured
-    counters and analytic expectations are two integrals of the same
-    function.  ``REF_CYCLES`` is time-based, not instruction-based; its
-    slot stays zero here and is patched from accumulated seconds by the
-    caller (engine flush / oracle runtime).
+    architectural event vector — both the engine's accounting (a
+    thread's ledger, the perf hook's memo) and the validation oracle
+    call it, so measured counters and analytic expectations are two
+    integrals of the same function.  ``REF_CYCLES`` is time-based, not
+    instruction-based; its slot stays zero here and is set from seconds
+    by the caller (accounting / oracle runtime).  A list converted once
+    fills faster than numpy item assignment.
     """
-    v = np.zeros(N_ARCH_EVENTS, dtype=np.float64)
+    v = [0.0] * N_ARCH_EVENTS
     cycles_per_instr = 1.0 / rates.ipc
     v[ArchEvent.CYCLES] = cycles_per_instr
     v[ArchEvent.INSTRUCTIONS] = 1.0
@@ -90,7 +91,7 @@ def arch_event_rates(ct: CoreType, rates: PhaseRates) -> np.ndarray:
         v[ArchEvent.TOPDOWN_SLOTS] = (
             cycles_per_instr * TOPDOWN_SLOTS_PER_CYCLE
         )
-    return v
+    return np.array(v, dtype=np.float64)
 
 
 class WorkPhase:

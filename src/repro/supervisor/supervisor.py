@@ -151,8 +151,13 @@ class Supervisor:
                     self.pool.wait(POLL_INTERVAL_S)
                 else:
                     self.sleep(POLL_INTERVAL_S)
-        finally:
-            manifest = self._close()
+        except BaseException:
+            # Runs may still be in flight: close the pipes and the
+            # journal but seal nothing, so a resume finds them unfinished.
+            self.pool.close()
+            self.journal.close()
+            raise
+        manifest = self._close()
         verb = "drained" if self.drained else "complete"
         self.log(f"[supervisor] sweep {verb}: {manifest.summary()}")
         return manifest
@@ -334,9 +339,9 @@ class Supervisor:
     # -- shutdown ------------------------------------------------------------
 
     def _close(self) -> Manifest:
-        """Seal the journal (metrics + drain/complete), materialize the
-        manifest view and metrics snapshot."""
-        self.pool.close()
+        """Seal the journal of a finished or drained sweep (metrics +
+        drain/complete), materialize the manifest view and metrics
+        snapshot."""
         snapshot = self.metrics.as_dict()
         summary = self.manifest.summary()
         self.journal.append({"type": "metrics", "metrics": snapshot})

@@ -169,7 +169,8 @@ def spawn(spec_path: str, stderr_path: str) -> tuple[int, int]:
     The child starts like ``python -m repro.supervisor.worker --spec``
     would: its own session, stdin/stdout on ``/dev/null``, stderr on
     ``stderr_path``, SIGTERM on :func:`_on_sigterm` and SIGINT on
-    Python's default; it keeps only the pipe's non-blocking write end.
+    Python's default; beside stdio it keeps only the pipe's non-blocking
+    write end, no other descriptor of the supervisor.
     Forking needs a single-threaded caller: a lock another thread holds
     at the fork stays held in the child forever.
     """
@@ -189,12 +190,15 @@ def spawn(spec_path: str, stderr_path: str) -> tuple[int, int]:
             # (a `finally`, an atexit hook, a buffer flush) runs twice.
             code = 1
             try:
-                os.close(read_fd)
                 os.setsid()
                 devnull = os.open(os.devnull, os.O_RDWR)
                 os.dup2(devnull, 0)
                 os.dup2(devnull, 1)
                 os.dup2(stderr_fd, 2)
+                # Keep stdio and the beat pipe only: not the supervisor's
+                # journal, not an earlier worker's pipe, not the spares.
+                os.closerange(3, write_fd)
+                os.closerange(write_fd + 1, os.sysconf("SC_OPEN_MAX"))
                 # Python-level stdio follows the new descriptors, whatever
                 # the caller had bound sys.stdout/sys.stderr to.
                 sys.stdout = open(1, "w", closefd=False)

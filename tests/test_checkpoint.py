@@ -180,8 +180,9 @@ class TestEnvelope:
 
     def test_version_mismatch_raises_version_error(self, tmp_path):
         # A version-1 payload can pickle an engine class this build no
-        # longer has; the envelope must refuse it by version, before
-        # unpickling could fail with an ImportError.
+        # longer has, and a version-4 one a thread's counters outside its
+        # ledger-settling property; the envelope must refuse both by
+        # version, before unpickling could fail or load the wrong shape.
         path = str(tmp_path / "v.snap")
         save_object({"x": 1}, path)
         with open(path, "rb") as fh:
@@ -189,7 +190,7 @@ class TestEnvelope:
             header = json.loads(fh.readline())
         payload = zlib.compress(b"\x80\x02crepro.sim.fastpath\nFastPathEngine\n)\x81.")
         header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-        for version in (1, 999):
+        for version in (1, 4, 999):
             header["version"] = version
             with open(path, "wb") as fh:
                 fh.write(magic)
@@ -355,11 +356,11 @@ class TestSurfaceRegistry:
 
     def test_machine_caches_dropped_and_rebuilt(self, tmp_path):
         system = System(MACHINE, dt_s=0.01)
-        system.machine._rate_vecs_by_id[1] = "poison"
+        system.machine._rate_vecs[1] = "poison"
         path = str(tmp_path / "m.snap")
         system.save(path)
         restored = System.restore(path)
-        assert restored.machine._rate_vecs_by_id == {}
+        assert restored.machine._rate_vecs == {}
         assert restored.machine._rec is None
 
     @pytest.mark.parametrize("order", [("system", "papi"), ("papi", "system")])

@@ -16,14 +16,20 @@ rejoin the same digest.
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
+
 from repro.checkpoint import state_digest
+from repro.hw.coretype import ArchEvent, N_ARCH_EVENTS
 from repro.papi import Papi
-from repro.sim.task import ControlOp, Program, SimThread
+from repro.sim.task import LEDGER_CAP, ControlOp, Program, SimThread
 from repro.sim.workload import (
     ComputePhase,
     PhaseRates,
     SleepPhase,
     SpinBarrier,
+    arch_event_rates,
     constant_rates,
 )
 from repro.system import System
@@ -625,6 +631,142 @@ class TestFaultInjectionParity:
         assert ticks == 3000
         assert inj.pending == 0  # dropout and auto-restore both fired
         assert real < 100
+
+
+def _counter_bytes(thread):
+    return {pmu: buf.tobytes() for pmu, buf in thread.counters.items()}
+
+
+def _migrating_program(machine, seed: int) -> list:
+    """Compute phases of uneven sizes at two rates, split into separate
+    buckets by control ops that move the thread between a P-core and an
+    E-core every few phases, plus long phases the event engine leaps."""
+    cores = machine.topology.cores
+    p_cpu = next(c.cpu_id for c in cores if c.ctype.pmu_name == "cpu_core")
+    e_cpu = next(c.cpu_id for c in cores if c.ctype.pmu_name == "cpu_atom")
+    rng = random.Random(seed)
+    fast = constant_rates(RATES)
+    slow = constant_rates(PhaseRates(ipc=0.7, flops_per_instr=0.3, branches_per_instr=0.11))
+
+    def pin(cpu):
+        def op(thread):
+            thread.affinity = {cpu}
+        return op
+
+    items = [ControlOp(pin(p_cpu))]
+    for i in range(120):
+        items.append(ComputePhase(rng.uniform(1e5, 4e6), fast if i % 3 else slow))
+        items.append(ControlOp(pin(e_cpu if (i // 7) % 2 else p_cpu)))
+        if i % 40 == 39:
+            items.append(ComputePhase(6e7, fast))
+    return items
+
+
+class TestAccountingLedger:
+    """``SimThread.account`` defers event vectors to a per-thread ledger
+    that settles in bulk; the counters must be exactly the per-bucket
+    sequential adds, whenever and by whoever they are read."""
+
+    def test_migrating_thread_equals_per_bucket_adds(self):
+        """Across several settles and both PMUs, ``counters`` is
+        bit-equal to ``buf += arch_event_rates(ct, rates) * instr`` per
+        bucket (the bucket's reference cycles in ``REF_CYCLES``)."""
+
+        def build(system):
+            m = system.machine
+            t = m.spawn(SimThread("mover", Program(_migrating_program(m, seed=3))))
+            buckets = []
+
+            def log(thread, core, rates, instr, ref_cycles, time_s):
+                if thread is t:
+                    buckets.append((core.ctype, rates, instr, ref_cycles))
+
+            m.account_hooks.append(log)
+            assert m.run_until_done([t], max_s=10)
+            return t, buckets
+
+        for _system, (t, buckets) in _run_matrix(build, dt_s=1e-4):
+            assert len(buckets) > 3 * LEDGER_CAP
+            expected = {}
+            for ct, rates, instr, ref_cycles in buckets:
+                buf = expected.setdefault(ct.pmu_name, np.zeros(N_ARCH_EVENTS))
+                v = arch_event_rates(ct, rates) * instr
+                v[ArchEvent.REF_CYCLES] = ref_cycles
+                buf += v
+            assert set(expected) == {"cpu_core", "cpu_atom"}
+            assert _counter_bytes(t) == {k: v.tobytes() for k, v in expected.items()}
+
+        # Without the (unreplayable) logging hook the event engine
+        # records and leaps, and still lands on the same counters.
+        def bare(system):
+            m = system.machine
+            t = m.spawn(SimThread("mover", Program(_migrating_program(m, seed=3))))
+            real, total = _replayed(m, lambda: m.run_until_done([t], max_s=10))
+            return t, real < total
+
+        (_ss, (t_ref, _)), (_se, (t_ev, leapt)) = _run_matrix(bare, dt_s=1e-4)
+        assert leapt
+        assert _counter_bytes(t_ev) == _counter_bytes(t_ref) == {
+            k: v.tobytes() for k, v in expected.items()
+        }
+
+    def test_control_op_reads_other_threads_counters_mid_tick(self):
+        def build(system):
+            m = system.machine
+            rates = constant_rates(RATES)
+            worker = m.spawn(SimThread("worker", Program([ComputePhase(4e8, rates)])))
+            seen = []
+
+            def peek(thread):
+                seen.append(_counter_bytes(worker))
+
+            items = []
+            for i in range(25):
+                items.append(ComputePhase(3e5 if i % 2 else 4e6, rates))
+                items.append(ControlOp(peek))
+            reader = m.spawn(SimThread("reader", Program(items)))
+            assert m.run_until_done([reader, worker], max_s=10)
+            return seen
+
+        (ss, seen_ticks), (se, seen_events) = _run_matrix(build, dt_s=1e-4)
+        assert len(seen_ticks) == 25
+        # Short phases retire several per tick, so some reads repeat.
+        assert len({tuple(sorted(s.items())) for s in seen_ticks}) > 12
+        assert seen_ticks == seen_events
+        _assert_systems_identical(ss, se)
+
+    def test_digest_and_snapshot_settle_the_ledger(self, tmp_path):
+        def build():
+            system = System(MACHINE, engine="events", dt_s=1e-3)
+            rates = constant_rates(RATES)
+            threads = [
+                system.machine.spawn(
+                    SimThread(f"w{i}", Program([ComputePhase(2e9, rates)]))
+                )
+                for i in range(3)
+            ]
+            for _ in range(5):
+                system.machine.tick()
+            return system, threads
+
+        pending, threads = build()
+        assert all(t._ledger for t in threads)
+        settled, others = build()
+        for t in others:
+            t._settle()
+        assert not any(t._ledger for t in others)
+        assert pending.state_digest() == settled.state_digest()
+
+        # Restore-then-run equals run-straight-through.
+        straight, threads = build()
+        saved, threads = build()
+        assert all(t._ledger for t in threads)
+        path = str(tmp_path / "ledger.snap")
+        saved.save(path)
+        restored = System.restore(path)
+        for system in (straight, restored):
+            system.machine.run_ticks(150)
+        assert restored.state_digest() == straight.state_digest()
 
 
 class TestTraceAndCheckpointMatrix:

@@ -63,6 +63,12 @@ def test_pcore_supports_topdown_ecore_does_not():
         assert e.supports_event(ev)
 
 
+def test_counter_width():
+    """General-purpose counters per PMU: 8 on Raptor Cove, 6 on Gracemont."""
+    assert _raptor_cove().n_gp_counters == 8
+    assert _gracemont().n_gp_counters == 6
+
+
 def test_intel_hybrid_shares_family_model_stepping():
     """P and E cores cannot be told apart by family/model/stepping."""
     p, e = _raptor_cove(), _gracemont()

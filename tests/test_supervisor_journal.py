@@ -228,6 +228,41 @@ class TestSupervisorRecovery:
         assert any("no journal" in e for e in events)
         assert not any("skipped" in e for e in events)
 
+    def test_a_loop_that_raised_leaves_the_journal_unsealed(self, tmp_path):
+        """Only a sweep that finished or drained seals its journal: after
+        a raise with a run in flight there is no ``complete`` or
+        ``drain``, and a resume plans that run as ``resume``."""
+        out = str(tmp_path / "sweep")
+        specs = [RunSpec("only", "hpl", dict(HPL_PARAMS))]
+
+        def launches():
+            with open(os.path.join(out, "journal.jsonl")) as fh:
+                return [e for e in map(json.loads, fh) if e["type"] == "launch"]
+
+        def sleep(seconds):
+            if launches():
+                raise RuntimeError("injected")
+            time.sleep(seconds)
+
+        sup = Supervisor(out, workers=1, log=lambda m: None, sleep=sleep)
+        with pytest.raises(RuntimeError, match="injected"):
+            sup.run(specs)
+        pid = launches()[0]["pid"]
+        try:
+            with open(sup.journal_path) as fh:
+                types = [json.loads(line)["type"] for line in fh]
+            assert "launch" in types
+            assert "complete" not in types and "drain" not in types
+            plan = Supervisor(out, workers=1, log=lambda m: None).plan(
+                specs, resume=True
+            )
+            assert [(p.run_id, p.fate) for p in plan] == [("only", "resume")]
+        finally:
+            # The worker outlives the supervisor that raised; end it here
+            # (by pid: it may not lead its own group yet).
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
 
 class TestResultCache:
     def test_spec_digest_canonical(self):

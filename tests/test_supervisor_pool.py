@@ -22,6 +22,7 @@ import time
 import pytest
 
 import repro.supervisor.supervisor as supervisor_module
+from repro.checkpoint import read_header
 from repro.kernel.perf import PerfEventAttr
 from repro.supervisor import (
     DONE,
@@ -362,6 +363,61 @@ class TestForkedWorker:
             fresh_dir / "result.json"
         ).read_bytes()
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd"
+    )
+    def test_worker_keeps_only_its_own_descriptors(self, tmp_path):
+        """A forked worker holds stdio and its beat pipe's write end: not
+        the supervisor's journal, not spare copies of ``stderr.log`` or
+        ``/dev/null``, not the pipe of the worker forked before it."""
+        seen = {}
+        checkpoint = str(tmp_path / "sweep" / "staller" / "checkpoint.snap")
+
+        def wedged():
+            """The staller's pid once it has written its last checkpoint
+            (at the stall point) and holds no file open."""
+            if not os.path.exists(checkpoint):
+                return None
+            if read_header(checkpoint)["meta"]["sim_time_s"] < 0.07:
+                return None
+            for event in _journal_events(sup, "launch"):
+                if event["run_id"] == "staller":
+                    return event["pid"]
+            return None
+
+        def inspect(pid):
+            fd_dir = f"/proc/{pid}/fd"
+            for fd in os.listdir(fd_dir):
+                seen[int(fd)] = os.readlink(os.path.join(fd_dir, fd))
+
+        sup = Supervisor(
+            str(tmp_path / "sweep"),
+            max_attempts=2,
+            backoff_s=0.0,
+            stuck_after_s=1.0,
+            checkpoint_every_s=0.04,
+            workers=2,
+            log=lambda m: None,
+            sleep=_once(wedged, inspect),
+        )
+        manifest = sup.run(
+            [
+                RunSpec("steady", "hpl", dict(HPL_PARAMS)),
+                RunSpec(
+                    "staller",
+                    "hpl",
+                    dict(HPL_PARAMS, stall_at_s=0.08, stall_on_attempts=[1]),
+                ),
+            ]
+        )
+        assert all(rec.status == DONE for rec in manifest.runs.values())
+        assert len(seen) == 4, seen
+        assert seen[0] == seen[1] == os.devnull
+        assert seen[2] == str(tmp_path / "sweep" / "staller" / "stderr.log")
+        (beats,) = [target for fd, target in seen.items() if fd > 2]
+        assert beats.startswith("pipe:")
+        assert sup.journal_path not in seen.values()
+
 
 class TestDrain:
     def test_drain_preempts_and_resume_converges(self, tmp_path):
@@ -499,6 +555,7 @@ class TestWait:
         with pytest.raises(CutShort):
             sup.run([RunSpec("big", "hpl", dict(HPL_PARAMS, n=20000))])
         pid = _launched(sup, 1)["pid"]
-        os.killpg(pid, signal.SIGKILL)
+        # The worker may not lead its own group yet: kill it by pid.
+        os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         assert len(os.listdir("/proc/self/fd")) == before
