@@ -77,10 +77,6 @@ class DvfsGovernor:
         lims[name] = mhz
         self._ceiling_min[cluster] = min(lims.values())
 
-    def clear_ceiling(self, cluster: int, name: str) -> None:
-        self._ceilings[cluster].pop(name, None)
-        self._ceiling_min[cluster] = self._lowest(cluster)
-
     def ceiling_mhz(self, cluster: int) -> float:
         return self._ceiling_min[cluster]
 

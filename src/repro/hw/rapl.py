@@ -53,6 +53,18 @@ class RaplDomain:
         self.energy_j += e
         self._raw_units += e / ENERGY_UNIT_J
 
+    def accumulate_ticks(self, power_w: float, dt_s: float, n: int) -> None:
+        """:meth:`accumulate` ``n`` times at constant power, on locals."""
+        e = power_w * dt_s
+        units = e / ENERGY_UNIT_J
+        energy_j = self.energy_j
+        raw_units = self._raw_units
+        for _ in range(n):
+            energy_j += e
+            raw_units += units
+        self.energy_j = energy_j
+        self._raw_units = raw_units
+
     def set_fault(self, mode: Optional[str]) -> None:
         """Inject/clear a sensor dropout; "stale" freezes the reading."""
         check_fault_mode(mode)
@@ -203,6 +215,69 @@ class RaplPackage:
 
         for i, cl in enumerate(spec.topology.clusters):
             governor.set_ceiling(i, CEILING_NAME, cl.ctype.max_freq_mhz * scale)
+
+    def advance_quiet(
+        self,
+        package_w: float,
+        cores_w: float,
+        dram_w: float,
+        dt_s: float,
+        n: int,
+    ) -> int:
+        """Run up to ``n`` untraced :meth:`step` ticks at constant power
+        while the controller holds its scale; returns how many ran.
+
+        Such a tick would rewrite every ceiling with the value it holds,
+        so only energy, the two averages and the throttle count move.
+        Each tick evaluates :meth:`step`'s expressions in its order into
+        temporaries (leap constants precomputed by the same expressions)
+        and commits only if the scale holds: the first tick that would
+        move it is left to :meth:`step`, from unchanged state.
+        """
+        j = n
+        if self.enabled:
+            spec = self.spec
+            pl1 = spec.rapl_pl1_w
+            pl2 = spec.rapl_pl2_w
+            k1 = dt_s / spec.rapl_pl1_window_s
+            k1 = k1 if k1 < 1.0 else 1.0
+            kf = dt_s / self.FAST_WINDOW_S
+            kf = kf if kf < 1.0 else 1.0
+            shrink = 1.2 * dt_s
+            lo = 1.0 - (shrink if shrink < 0.5 else 0.5)
+            grow = 0.5 * dt_s
+            hi = 1.0 + (grow if grow < 0.2 else 0.2)
+            scale = self._scale
+            avg1 = self._avg1_w
+            fast = self._avg_fast_w
+            throttled = 0
+            j = 0
+            while j < n:
+                a = avg1 + (package_w - avg1) * k1
+                f = fast + (package_w - fast) * kf
+                budget = pl2 if (pl2 is not None and a < pl1 * 0.98) else pl1
+                signal = 1e-3 if 1e-3 > f else f
+                ratio = (budget / signal) ** 0.25
+                adj = lo if lo > ratio else ratio
+                if hi < adj:
+                    adj = hi
+                s = scale * adj
+                s = s if s > 0.05 else 0.05
+                if (s if s < 1.0 else 1.0) != scale:
+                    break
+                avg1 = a
+                fast = f
+                if adj < 1.0:
+                    throttled += 1
+                j += 1
+            self._avg1_w = avg1
+            self._avg_fast_w = fast
+            self.throttle_events += throttled
+        if j:
+            self.package.accumulate_ticks(package_w, dt_s, j)
+            self.cores.accumulate_ticks(cores_w, dt_s, j)
+            self.dram.accumulate_ticks(dram_w, dt_s, j)
+        return j
 
     # -- introspection used by the monitor/sampler -------------------------
 

@@ -152,6 +152,90 @@ class ThermalModel:
             tr.metrics.gauge("thermal.temp_c", key=self.zone.name, value=self.temp_c)
         return self.temp_c
 
+    def quiet_ticks(
+        self,
+        cluster_activity: list[float],
+        other_power_w: float,
+        power_w: float,
+        dt_s: float,
+        n: int,
+    ) -> int:
+        """How many of the next ``n`` ticks at constant inputs leave every
+        thermal ceiling and scale as it is; changes no state.
+
+        Such a tick finds each active cluster unthrottled (scale 1.0; an
+        idle one writes the ceiling and scale it already holds) and the
+        IPA grant still covering its max-frequency power, so of
+        :meth:`step` plus :meth:`apply_throttling` only the temperature
+        and the throttle count move (:meth:`advance_quiet`).  The test
+        evaluates their expressions in their order; terms that are
+        constant at constant activity are computed once, by the same
+        expressions.
+        """
+        spec = self.spec
+        min_w, max_w, order, sustainable_w, _max_ghz = self._ipa_constants()
+        floor_w = [0.0] * len(cluster_activity)
+        for i, activity in enumerate(cluster_activity):
+            if activity > 1e-6:
+                floor_w[i] = min_w[i] * activity
+        floor_sum = sum(floor_w)
+        grants = []   # active clusters in grant order
+        for i in order:
+            activity = cluster_activity[i]
+            if activity <= 1e-6:
+                continue
+            if self._scale[i] != 1.0:
+                return 0  # un-throttling moves the ceiling
+            used_extra = max_w[i] * activity - floor_w[i]
+            grants.append((
+                (max_w[i] - min_w[i]) * activity,
+                floor_w[i],
+                activity,
+                max_w[i],
+                0.0 if 0.0 > used_extra else used_extra,
+            ))
+        ambient = spec.ambient_c
+        r = spec.thermal_r_c_per_w
+        c = spec.thermal_c_j_per_c
+        trip = spec.thermal_trip_c
+        gain = self.BUDGET_GAIN_FRACTION_PER_C
+        temp = self.temp_c
+        for j in range(n):
+            temp = temp + (power_w - (temp - ambient) / r) / c * dt_s
+            temp = temp if temp > ambient else ambient
+            remaining = (
+                sustainable_w * (1.0 + gain * (trip - temp))
+                - other_power_w
+                - floor_sum
+            )
+            for extra_demand, floor, activity, max_core_w, used in grants:
+                grant = 0.0 if 0.0 > remaining else remaining
+                if extra_demand < grant:
+                    grant = extra_demand
+                if not max_core_w <= (floor + grant) / activity:
+                    return j
+                remaining -= used
+        return n
+
+    def advance_quiet(self, power_w: float, dt_s: float, n: int) -> None:
+        """Commit ``n`` ticks :meth:`quiet_ticks` reported quiet: the
+        temperature (and the zone's copy) and the throttle count move as
+        :meth:`step` and :meth:`apply_throttling` move them."""
+        spec = self.spec
+        ambient = spec.ambient_c
+        r = spec.thermal_r_c_per_w
+        c = spec.thermal_c_j_per_c
+        trip = spec.thermal_trip_c
+        temp = self.temp_c
+        over = 0
+        for _ in range(n):
+            temp = temp + (power_w - (temp - ambient) / r) / c * dt_s
+            temp = temp if temp > ambient else ambient
+            if trip - temp < 0:
+                over += 1
+        self.temp_c = self.zone.temp_c = temp
+        self.throttle_events += over
+
     def is_settled(self, target_c: float) -> bool:
         """Whether the package has cooled to ``target_c`` (run-start gate)."""
         return self.temp_c <= target_c

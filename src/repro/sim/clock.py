@@ -27,8 +27,9 @@ class SimClock:
         self.ticks = 0
         self.now_s = 0.0
 
-    def advance(self) -> None:
-        self.ticks += 1
+    def advance(self, n: int = 1) -> None:
+        """Advance ``n`` ticks: the same state as ``n`` single advances."""
+        self.ticks += n
         self.now_s = self.ticks * self.dt_s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

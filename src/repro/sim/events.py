@@ -22,9 +22,12 @@ the tick holding
 * the guards that must hold for the *next* tick to be a repeat: spin/
   sleep wake conditions still false, compute phases not completing,
   multiplexing rotation slot unchanged, DVFS frequencies unchanged;
-* the (constant) inputs of the power/thermal/governor step, which is
-  replayed *live* on the real objects because RAPL and thermal state are
-  genuine per-tick recurrences.
+* the (constant) inputs of the power/thermal/governor step, which
+  advances *live* on the real objects because RAPL and thermal state are
+  genuine per-tick recurrences;
+* the buckets the tick's threads accounted, whose event vectors are
+  built (and those threads' ledgers settled) only once the recording
+  becomes a span.
 
 Rather than polling every guard between replays, a :class:`_Span`
 treats the recorded guards as *event sources*, each able to report the
@@ -41,7 +44,7 @@ number of ticks until it next fires:
 * **overflow threshold crossing** — an armed sampling event's distance
   to ``_next_overflow`` at its recorded per-tick increment;
 * **DVFS/thermal transition** — frequency moves are detected by the
-  replay itself (the hardware recurrence runs live every tick).
+  replay itself (the hardware advances live every tick).
 
 A span leaps guard-free to a conservative bound just short of the
 earliest event, then polls tick-by-tick through the boundary so the
@@ -61,14 +64,16 @@ retires only at a phase boundary, so the condition cannot change inside
 one.  Any other ``run_until`` condition is opaque and runs plain ticks.
 
 A leap (:meth:`_Span.leap`) costs one pass per target, not one
-operation per target per tick.  It first steps the hardware recurrences
-tick by tick through their public per-tick methods, stopping after a
-tick that moves a frequency, then applies the ``j`` ticks that ran: a
-float target's ``j`` repeats go through one ``np.add.accumulate`` (a
-running sum rounds exactly as the sequential adds do; see
-:class:`_Block`), an int cell adds ``j * sum(incs)``.  The reordering is
-exact because nothing else runs inside a leap and the recurrences read
-none of the recorded targets.  Short leaps replay with plain adds.
+operation per target per tick.  It first advances the hardware: in one
+pass per model (RAPL, thermal, the clock) while its ticks are *quiet*,
+that is while no ceiling, scale or frequency can move, then tick by
+tick through the public per-tick methods, stopping after a tick that
+moves a frequency.  Then it applies the ``j`` ticks that ran: a float
+target's ``j`` repeats go through one ``np.add.accumulate`` (a running
+sum rounds exactly as the sequential adds do; see :class:`_Block`), an
+int cell adds ``j * sum(incs)``.  The reordering is exact because
+nothing else runs inside a leap and the recurrences read none of the
+recorded targets.  Short leaps replay with plain adds.
 
 Recording is only attempted when no unsafe hooks are registered (see
 ``Machine.mark_hook_fastpath_safe``) and scheduler jitter is off.  Two
@@ -133,10 +138,9 @@ _F64 = np.dtype(np.float64)
 
 #: Cap on the record back-off, in ticks run plainly after a killed
 #: recorder before the next recording attempt.  Attaching a recorder
-#: costs real wall time (guard bookkeeping, per-bucket vector copies in
-#: the accounting flush); during sustained churn — e.g. HPL's
-#: dynamic-claim stage, where some phase boundary fires almost every
-#: tick — that cost buys nothing.
+#: costs real wall time (guard and increment bookkeeping); during
+#: sustained churn — e.g. HPL's dynamic-claim stage, where some phase
+#: boundary fires almost every tick — that cost buys nothing.
 _BACKOFF_CAP = 32
 
 
@@ -147,6 +151,7 @@ class TickRecorder:
         "unsteady",
         "vecs",
         "cells",
+        "buckets",
         "blocked",
         "spin_guards",
         "compute_guards",
@@ -170,6 +175,9 @@ class TickRecorder:
         # ``__dict__``).
         self.vecs: dict = {}
         self.cells: dict = {}
+        # Accounted buckets, in order: (thread, core type, rates,
+        # instructions, reference cycles); see ``bucket_increments``.
+        self.buckets: list[tuple] = []
         self.blocked: list[tuple] = []          # (thread, SleepPhase|None)
         self.spin_guards: list = []             # until() callables
         self.compute_guards: dict = {}          # id(phase) -> [phase, incs...]
@@ -203,6 +211,18 @@ class TickRecorder:
             self.cells[(id(d), key)] = [d, key, inc]
         else:
             entry.append(inc)
+
+    def bucket(self, thread, ct, rates, instr: float, ref_cycles: float) -> None:
+        """A bucket ``thread.account`` put on its ledger this tick."""
+        self.buckets.append((thread, ct, rates, instr, ref_cycles))
+
+    def bucket_increments(self) -> None:
+        """Turn the recorded buckets into replay increments, in recorded
+        order: each thread's ledger settles first (the tick's buckets
+        with it), so a killed recording never pays for a settle or a
+        vector."""
+        for thread, ct, rates, instr, ref_cycles in self.buckets:
+            self.vec(*thread.replay_increment(ct, rates, instr, ref_cycles))
 
     def rt_add(self, thread, time_s: float) -> None:
         """A ``total_runtime_s`` increment (tracked for mux guards)."""
@@ -451,6 +471,7 @@ class _Span:
     def __init__(self, machine: "Machine", rec: TickRecorder):
         self.m = machine
         self.rec = rec
+        rec.bucket_increments()
         self.freq_expect = rec.freq_after
         #: Set once a replayed tick moved a DVFS frequency.
         self.ended = False
@@ -521,9 +542,20 @@ class _Span:
     def leap(self, n: int) -> int:
         """Replay ``n`` guard-free ticks; returns how many ran.
 
-        First the hardware recurrences step tick by tick through their
-        public per-tick methods (the tracer emits from them), stopping
-        after a tick that moves a DVFS frequency, which ends the span.
+        First the hardware advances.  While its ticks are *quiet* —
+        RAPL holds its scale, and every active cluster stays unthrottled
+        with an IPA grant covering its max-frequency power — no ceiling,
+        scale or frequency can move: the previous tick, run at the
+        span's constant inputs, already wrote every ceiling, so each
+        write would repeat, and so would the governor's frequencies.
+        Thermal then reports how many ticks its grants hold, RAPL
+        advances up to that many while its scale holds, and thermal and
+        the clock commit the ticks RAPL advanced, each model in one pass
+        over its own state.  The first tick that is not quiet, and the rest of
+        the leap, step through the public per-tick methods, stopping
+        after a tick that moves a DVFS frequency, which ends the span;
+        so does a whole leap while the tracer records ``rapl``,
+        ``thermal`` or ``dvfs`` (those methods emit every tick).
         Then the ``j`` ticks that ran are applied to the recorded
         targets.  The reordering is exact: nothing else runs inside a
         leap, and the recurrences read none of the recorded targets.
@@ -534,17 +566,25 @@ class _Span:
         package_w = sample.package_w
         cores_w = sample.cores_w
         dram_w = sample.dram_w
-        rapl_step = m.rapl.step
         thermal = m.thermal
+        clock = m.clock
+        dt = clock.dt_s
+        j = 0
+        tr = m.tracer
+        if tr is None or not (tr.rapl or tr.thermal or tr.dvfs):
+            j = thermal.quiet_ticks(cluster_activity, other_w, package_w, dt, n)
+            if j:
+                j = m.rapl.advance_quiet(package_w, cores_w, dram_w, dt, j)
+                if j:
+                    thermal.advance_quiet(package_w, dt, j)
+                    clock.advance(j)
+        rapl_step = m.rapl.step
         thermal_step = thermal.step
         throttle = thermal.apply_throttling
         governor = m.governor
         update = governor.update
-        clock = m.clock
         advance = clock.advance
-        dt = clock.dt_s
         expect = self.freq_expect
-        j = 0
         while j < n:
             j += 1
             rapl_step(governor, package_w, cores_w, dram_w, dt)

@@ -167,26 +167,34 @@ class SimThread:
     ) -> None:
         """Credit ``instr`` instructions at ``rates`` and ``ref_cycles``
         TSC cycles in ``time_s`` seconds on a ``ct`` core.  Runtimes update
-        at once and the event vector joins the ledger, except in a recorded
-        tick (``rec``), which settles and adds eagerly for the recorder."""
+        at once and the event vector joins the ledger; a recorded tick
+        (``rec``) also hands the recorder the bucket, whose vector is
+        built only if the recording becomes a span
+        (:meth:`replay_increment`)."""
         pmu_name = ct.pmu_name
         self.runtime_s[pmu_name] = self.runtime_s.get(pmu_name, 0.0) + time_s
         self.total_runtime_s += time_s
         ledger = self._ledger
-        if rec is None:
-            ledger.append((ct, rates, instr, ref_cycles))
-            if len(ledger) >= LEDGER_CAP:
-                self._settle()
-            return
-        if ledger:
+        ledger.append((ct, rates, instr, ref_cycles))
+        if rec is not None:
+            rec.bucket(self, ct, rates, instr, ref_cycles)
+            rec.dict_add(self.runtime_s, pmu_name, time_s)
+            rec.rt_add(self, time_s)
+        if len(ledger) >= LEDGER_CAP:
             self._settle()
-        buf = self._counters.setdefault(pmu_name, np.zeros(N_ARCH_EVENTS))
+
+    def replay_increment(
+        self, ct: CoreType, rates: PhaseRates, instr: float, ref_cycles: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A recorded bucket as a replay increment: its PMU's counter
+        buffer, with the ledger settled, and the bucket's event vector.
+        A span replays these adds straight into the buffer, so the
+        ledger must hold nothing older."""
+        if self._ledger:
+            self._settle()
         v = arch_event_rates(ct, rates) * instr
         v[_REF_CYCLES] = ref_cycles
-        buf += v
-        rec.vec(buf, v)
-        rec.dict_add(self.runtime_s, pmu_name, time_s)
-        rec.rt_add(self, time_s)
+        return self._counters[ct.pmu_name], v
 
     def _settle(self) -> None:
         """Add the ledger's buckets into ``_counters``, in ledger order.

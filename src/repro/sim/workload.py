@@ -26,6 +26,21 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Intel's top-down pipeline width (slots per cycle) on Golden Cove.
 TOPDOWN_SLOTS_PER_CYCLE = 6
 
+# Plain-int event slots for :func:`arch_event_rates`: an ``ArchEvent``
+# member lookup costs more than the arithmetic it indexes.
+_CYCLES = int(ArchEvent.CYCLES)
+_INSTRUCTIONS = int(ArchEvent.INSTRUCTIONS)
+_BRANCHES = int(ArchEvent.BRANCHES)
+_BRANCH_MISSES = int(ArchEvent.BRANCH_MISSES)
+_LLC_REFERENCES = int(ArchEvent.LLC_REFERENCES)
+_LLC_MISSES = int(ArchEvent.LLC_MISSES)
+_FP_OPS = int(ArchEvent.FP_OPS)
+_STALLED_CYCLES = int(ArchEvent.STALLED_CYCLES)
+_TOPDOWN_EVENT = ArchEvent.TOPDOWN_SLOTS
+_TOPDOWN_SLOTS = int(_TOPDOWN_EVENT)
+_L2_REFERENCES = int(ArchEvent.L2_REFERENCES)
+_L2_MISSES = int(ArchEvent.L2_MISSES)
+
 
 @dataclass
 class PhaseRates:
@@ -73,24 +88,18 @@ def arch_event_rates(ct: CoreType, rates: PhaseRates) -> np.ndarray:
     """
     v = [0.0] * N_ARCH_EVENTS
     cycles_per_instr = 1.0 / rates.ipc
-    v[ArchEvent.CYCLES] = cycles_per_instr
-    v[ArchEvent.INSTRUCTIONS] = 1.0
-    v[ArchEvent.FP_OPS] = rates.flops_per_instr
-    v[ArchEvent.LLC_REFERENCES] = rates.llc_refs_per_instr
-    v[ArchEvent.LLC_MISSES] = rates.llc_refs_per_instr * rates.llc_miss_rate
-    v[ArchEvent.L2_REFERENCES] = rates.l2_refs_per_instr
-    v[ArchEvent.L2_MISSES] = rates.l2_refs_per_instr * rates.l2_miss_rate
-    v[ArchEvent.BRANCHES] = rates.branches_per_instr
-    v[ArchEvent.BRANCH_MISSES] = (
-        rates.branches_per_instr * rates.branch_miss_rate
-    )
-    v[ArchEvent.STALLED_CYCLES] = max(
-        0.0, cycles_per_instr - 1.0 / ct.ipc
-    )
-    if ct.supports_event(ArchEvent.TOPDOWN_SLOTS):
-        v[ArchEvent.TOPDOWN_SLOTS] = (
-            cycles_per_instr * TOPDOWN_SLOTS_PER_CYCLE
-        )
+    v[_CYCLES] = cycles_per_instr
+    v[_INSTRUCTIONS] = 1.0
+    v[_FP_OPS] = rates.flops_per_instr
+    v[_LLC_REFERENCES] = rates.llc_refs_per_instr
+    v[_LLC_MISSES] = rates.llc_refs_per_instr * rates.llc_miss_rate
+    v[_L2_REFERENCES] = rates.l2_refs_per_instr
+    v[_L2_MISSES] = rates.l2_refs_per_instr * rates.l2_miss_rate
+    v[_BRANCHES] = rates.branches_per_instr
+    v[_BRANCH_MISSES] = rates.branches_per_instr * rates.branch_miss_rate
+    v[_STALLED_CYCLES] = max(0.0, cycles_per_instr - 1.0 / ct.ipc)
+    if ct.supports_event(_TOPDOWN_EVENT):
+        v[_TOPDOWN_SLOTS] = cycles_per_instr * TOPDOWN_SLOTS_PER_CYCLE
     return np.array(v, dtype=np.float64)
 
 

@@ -461,6 +461,159 @@ class TestBulkReplay:
         _assert_systems_identical(ss, se)
 
 
+class TestQuietHardware:
+    """While a leap's ticks are quiet — RAPL holds its scale and every
+    active cluster's IPA grant covers its max-frequency power — RAPL and
+    thermal advance in one pass each, without the per-tick methods.
+    These leaps end, or keep counting throttle events, inside the quiet
+    pass; each must stay bit-identical to the single-tick reference."""
+
+    @staticmethod
+    def _quiet_log(monkeypatch):
+        """Record (model, ticks asked, quiet ticks, throttle events
+        added) for every quiet advance of RAPL and of thermal."""
+        from repro.hw.rapl import RaplPackage
+        from repro.hw.thermal import ThermalModel
+
+        log = []
+        rapl_advance = RaplPackage.advance_quiet
+        quiet_ticks = ThermalModel.quiet_ticks
+        thermal_advance = ThermalModel.advance_quiet
+
+        def rapl(self, package_w, cores_w, dram_w, dt_s, n):
+            events0 = self.throttle_events
+            j = rapl_advance(self, package_w, cores_w, dram_w, dt_s, n)
+            log.append(("rapl", n, j, self.throttle_events - events0))
+            return j
+
+        def thermal_test(self, activity, other_w, power_w, dt_s, n):
+            j = quiet_ticks(self, activity, other_w, power_w, dt_s, n)
+            log.append(("thermal", n, j, 0))
+            return j
+
+        def thermal(self, power_w, dt_s, n):
+            events0 = self.throttle_events
+            thermal_advance(self, power_w, dt_s, n)
+            log.append(("thermal-commit", n, n, self.throttle_events - events0))
+
+        monkeypatch.setattr(RaplPackage, "advance_quiet", rapl)
+        monkeypatch.setattr(ThermalModel, "quiet_ticks", thermal_test)
+        monkeypatch.setattr(ThermalModel, "advance_quiet", thermal)
+        return log
+
+    @staticmethod
+    def _pinned(spec, cpus_of, dt_s, runs, temp_c=None):
+        """One endless compute thread pinned on each chosen CPU, run for
+        ``runs`` tick budgets per engine; returns the Systems."""
+        systems = []
+        for engine in ENGINES:
+            system = System(spec, engine=engine, dt_s=dt_s)
+            m = system.machine
+            if temp_c is not None:
+                m.thermal.temp_c = m.thermal.zone.temp_c = temp_c
+            for cpu in cpus_of(system.topology):
+                m.spawn(
+                    SimThread(
+                        f"busy{cpu}",
+                        Program([ComputePhase(1e14, constant_rates(RATES))]),
+                        affinity={cpu},
+                    )
+                )
+            for ticks in runs:
+                m.run_ticks(ticks)
+            systems.append(system)
+        _assert_systems_identical(*systems)
+        return systems
+
+    def test_rapl_budget_drops_to_pl1_mid_leap(self, monkeypatch):
+        log = self._quiet_log(monkeypatch)
+        _ss, se = self._pinned(
+            MACHINE, lambda topo: topo.cpus_of_type("P-core"), 0.05, [500]
+        )
+        rapl = se.machine.rapl
+        assert rapl._avg1_w >= rapl.spec.rapl_pl1_w * 0.98
+        assert rapl.scale < 1.0
+        # Thermal granted the whole leap; RAPL stopped short of it.
+        assert any(
+            model == "rapl" and 0 < j < n for model, n, j, _ in log
+        ), log
+
+    def test_orangepi_grant_binds_mid_leap(self, monkeypatch):
+        log = self._quiet_log(monkeypatch)
+        _ss, se = self._pinned(
+            "orangepi-800", lambda topo: list(range(topo.n_cpus)), 0.01, [400]
+        )
+        assert min(se.machine.thermal._scale) < 1.0
+        assert any(
+            model == "thermal" and 0 < j < n for model, n, j, _ in log
+        ), log
+
+    def test_rapl_counts_throttle_events_at_its_scale_floor(self, monkeypatch):
+        """A PL1 far below any load pins the scale at its 0.05 floor,
+        where every quiet tick still counts a RAPL throttle event."""
+        import dataclasses
+
+        from repro.hw.machines import MACHINE_PRESETS
+
+        log = self._quiet_log(monkeypatch)
+        spec = dataclasses.replace(MACHINE_PRESETS[MACHINE](), rapl_pl1_w=1.0)
+        # The second run records a span at the floor.
+        _ss, se = self._pinned(
+            spec, lambda topo: topo.cpus_of_type("E-core")[:2], 0.05, [300, 200]
+        )
+        assert se.machine.rapl.scale == 0.05
+        assert any(
+            model == "rapl" and j > 100 and events == j
+            for model, _n, j, events in log
+        ), log
+
+    def test_thermal_counts_throttle_events_above_trip(self, monkeypatch):
+        """A package that starts above its trip point under a light load:
+        every grant still covers max, and each tick above the trip
+        counts a thermal throttle event."""
+        log = self._quiet_log(monkeypatch)
+        _ss, se = self._pinned(
+            "orangepi-800",
+            lambda topo: topo.cpus_of_type("LITTLE")[:1],
+            0.01,
+            [300],
+            temp_c=90.0,
+        )
+        thermal = se.machine.thermal
+        assert thermal.temp_c < thermal.spec.thermal_trip_c
+        assert thermal._scale == [1.0, 1.0]
+        assert any(
+            model == "thermal-commit" and 0 < events < j
+            for model, _n, j, events in log
+        ), log
+
+    def test_steady_leap_steps_rapl_only_on_full_ticks(self, monkeypatch):
+        from repro.hw.rapl import RaplPackage
+
+        system = System(MACHINE, dt_s=0.01)
+        m = system.machine
+        for cpu in system.topology.cpus_of_type("E-core")[:2]:
+            m.spawn(
+                SimThread(
+                    f"busy{cpu}",
+                    Program([ComputePhase(1e14, constant_rates(RATES))]),
+                    affinity={cpu},
+                )
+            )
+        steps = [0]
+        step = RaplPackage.step
+
+        def counted(self, *args):
+            steps[0] += 1
+            step(self, *args)
+
+        monkeypatch.setattr(RaplPackage, "step", counted)
+        real, ticks = _replayed(m, lambda: m.run_ticks(500))
+        assert ticks == 500
+        assert real < 10
+        assert steps[0] == real
+
+
 class TestHplParity:
     def test_small_hpl_run_parity(self):
         from repro.hpl import HplConfig, run_hpl
@@ -733,6 +886,52 @@ class TestAccountingLedger:
         # Short phases retire several per tick, so some reads repeat.
         assert len({tuple(sorted(s.items())) for s in seen_ticks}) > 12
         assert seen_ticks == seen_events
+        _assert_systems_identical(ss, se)
+
+    def test_killed_recording_leaves_its_buckets_to_settle_later(self):
+        """A recorded tick appends to the ledger like a plain tick: a
+        thread that accounted before the recording died keeps the
+        tick's bucket unsettled, and its counters settle later exactly
+        as the reference's do."""
+        from repro.sim.events import TickRecorder
+
+        def build(system):
+            m = system.machine
+            rates = constant_rates(RATES)
+            p_cpus = system.topology.cpus_of_type("P-core")
+            worker = m.spawn(
+                SimThread(
+                    "worker",
+                    Program([ComputePhase(4e9, rates)]),
+                    affinity={p_cpus[0]},
+                )
+            )
+            # Phases that end inside every tick kill each recording.
+            m.spawn(
+                SimThread(
+                    "churn",
+                    Program([ComputePhase(3e4, rates) for _ in range(40)]),
+                    affinity={p_cpus[2]},
+                )
+            )
+            m.tick()  # the worker's ledger holds a bucket already
+            if system.machine.engine == "events":
+                rec = m._rec = TickRecorder()
+                try:
+                    m.tick()
+                finally:
+                    m._rec = None
+                assert rec.unsteady
+                assert [b[0] for b in rec.buckets][:1] == [worker]
+            else:
+                m.tick()
+            assert len(worker._ledger) == 2
+            m.run_ticks(200)
+            return worker
+
+        (ss, w_ref), (se, w_ev) = _run_matrix(build, dt_s=1e-4)
+        assert w_ref.counters_total()[ArchEvent.INSTRUCTIONS] > 0
+        assert _counter_bytes(w_ev) == _counter_bytes(w_ref)
         _assert_systems_identical(ss, se)
 
     def test_digest_and_snapshot_settle_the_ledger(self, tmp_path):

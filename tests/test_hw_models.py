@@ -46,8 +46,6 @@ class TestDvfs:
         gov.set_ceiling(0, "rapl", 3000)
         gov.set_ceiling(0, "thermal", 2500)
         assert gov.ceiling_mhz(0) == 2500
-        gov.clear_ceiling(0, "thermal")
-        assert gov.ceiling_mhz(0) == 3000
 
     def test_ceiling_clamped_to_core_range(self):
         spec = raptor_lake_i7_13700()

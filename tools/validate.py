@@ -11,9 +11,9 @@ Runs the workload x machine x event validation matrix (see
     python tools/validate.py --json scorecard.json
     python tools/validate.py --selftest           # seeded-bug mutation test
 
-``--engines`` (default ``ticks,events``) checks that accuracy classes
-are bit-identical across the requested engines (the parity law extended
-to the measurement stack).  ``--selftest`` arms the deliberate kernel
+``--engines`` (default ``ticks,events``) checks that every row's
+measured samples and accuracy class are bit-identical across the
+requested engines (the parity law extended to the measurement stack).  ``--selftest`` arms the deliberate kernel
 decode bug behind ``REPRO_VALIDATE_SELFTEST`` and exits 2 unless the
 harness reports it as ``broken`` — a mutation test of the validator.
 """
@@ -128,7 +128,7 @@ def main(argv: list[str]) -> int:
     parity_ok = True
     any_broken = False
     for machine in _machines(args.machines):
-        maps = {}
+        results = []
         for engine in engines:
             card = run_validation(
                 machine,
@@ -136,10 +136,14 @@ def main(argv: list[str]) -> int:
                 seed=args.seed,
                 include_mux=not args.no_mux,
             )
-            maps[card.engine] = card.class_map()
+            results.append(
+                (
+                    card.class_map(),
+                    [(row.key, tuple(row.measured)) for row in card.rows],
+                )
+            )
             cards[machine] = card
-        first = next(iter(maps.values()))
-        machine_parity = all(m == first for m in maps.values())
+        machine_parity = all(r == results[0] for r in results)
         parity_ok = parity_ok and machine_parity
         card = cards[machine]
         counts = card.counts()
@@ -181,7 +185,7 @@ def main(argv: list[str]) -> int:
         Path(args.json).write_text(json.dumps(payload, indent=2))
         print(f"scorecards written to {args.json}")
     if not parity_ok:
-        print("FAIL: accuracy classes differ across engines")
+        print("FAIL: measured values or accuracy classes differ across engines")
         return 1
     if args.strict and any_broken:
         print("FAIL (--strict): some events classified 'broken'")
