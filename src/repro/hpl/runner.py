@@ -11,6 +11,8 @@ motivation experiments measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 from repro.hw.coretype import ArchEvent, CoreType
@@ -193,7 +195,7 @@ class HplResult:
         return self.llc_misses.get(pmu, 0.0) / refs if refs else 0.0
 
     def instruction_share(self, pmu: str) -> float:
-        total = sum(self.instructions.values())
+        total = reduce(add, self.instructions.values(), 0)
         return self.instructions.get(pmu, 0.0) / total if total else 0.0
 
 
@@ -287,7 +289,7 @@ def finish_hpl(system: System, handle: HplRunHandle) -> HplResult:
         wall_s=wall,
         energy_j=energy,
         avg_power_w=energy / wall if wall else 0.0,
-        spin_time_s=sum(t.spin_time_s for t in handle.threads),
+        spin_time_s=reduce(add, (t.spin_time_s for t in handle.threads), 0),
     )
     for t in handle.threads:
         for pmu, counters in t.counters.items():

@@ -15,6 +15,8 @@ machine utilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from repro.checkpoint.surface import snapshot_surface
 from repro.hw.machines import MachineSpec
@@ -34,7 +36,8 @@ class PowerSample:
 
     @property
     def cores_w(self) -> float:
-        return sum(self.per_cluster_w)
+        # Left to right on every CPython (3.12's sum() compensates).
+        return reduce(add, self.per_cluster_w, 0)
 
 
 @snapshot_surface(
@@ -111,7 +114,7 @@ class PowerModel:
         uncore = self.spec.uncore_base_w
         dram = self.spec.dram_w_per_util * avg_util
         return PowerSample(
-            package_w=sum(per_cluster) + uncore + dram,
+            package_w=reduce(add, per_cluster, 0) + uncore + dram,
             per_cluster_w=per_cluster,
             uncore_w=uncore,
             dram_w=dram,

@@ -20,6 +20,8 @@ pins at minimum frequency while the LITTLE cluster keeps running.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from repro.checkpoint.surface import snapshot_surface
 from repro.hw.machines import MachineSpec
@@ -178,7 +180,7 @@ class ThermalModel:
         for i, activity in enumerate(cluster_activity):
             if activity > 1e-6:
                 floor_w[i] = min_w[i] * activity
-        floor_sum = sum(floor_w)
+        floor_sum = reduce(add, floor_w, 0)
         grants = []   # active clusters in grant order
         for i in order:
             activity = cluster_activity[i]
@@ -235,6 +237,11 @@ class ThermalModel:
                 over += 1
         self.temp_c = self.zone.temp_c = temp
         self.throttle_events += over
+
+    @property
+    def scales(self) -> tuple[float, ...]:
+        """Each cluster's throttle scale, 1.0 unthrottled."""
+        return tuple(self._scale)
 
     def is_settled(self, target_c: float) -> bool:
         """Whether the package has cooled to ``target_c`` (run-start gate)."""
@@ -308,7 +315,7 @@ class ThermalModel:
             activity = cluster_activity[i]
             if activity > 1e-6:
                 floor_w[i] = min_w[i] * activity
-        remaining = budget - other_power_w - sum(floor_w)
+        remaining = budget - other_power_w - reduce(add, floor_w, 0)
 
         # The clamps are ``min``/``max`` written out, returning the same
         # operand on ties.

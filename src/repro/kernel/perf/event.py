@@ -193,15 +193,16 @@ class KernelPerfEvent:
         self.time_enabled_s += time_s
         if rec is not None:
             rec.scalar(self, "time_enabled_s", time_s)
-        if self.pmu.kind is PmuKind.CPU and self.pmu.type != core_pmu_type:
-            return  # wrong core type: enabled but not running
         if not counting_allowed:
             return
-        self.time_running_s += time_s
+        adds = self.counting_adds(core_pmu_type, values, time_s)
+        if adds is None:
+            return  # wrong core type: enabled but not running
+        running, inc = adds
+        self.time_running_s += running
         if rec is not None:
-            rec.scalar(self, "time_running_s", time_s)
-        if self.pmu.kind is PmuKind.CPU and self.arch_event is not None:
-            inc = float(values[self.arch_event])
+            rec.scalar(self, "time_running_s", running)
+        if inc is not None:
             self.count += inc
             if rec is not None:
                 rec.scalar(self, "count", inc)
@@ -216,6 +217,23 @@ class KernelPerfEvent:
                     # Below threshold: batching may continue, guarded by
                     # the analytic distance to the crossing.
                     rec.overflow_step(self, inc)
+
+    def counting_adds(
+        self, core_pmu_type: int, values: np.ndarray, time_s: float
+    ) -> Optional[tuple[float, Optional[float]]]:
+        """What one slice on a ``core_pmu_type`` core adds while this
+        event's group holds counters: the ``time_running_s`` and
+        ``count`` increments, the latter None for an event that counts
+        nothing itself (a software member, a CPU event without an
+        architectural slot).  None on the wrong core type, where the
+        event is enabled but not running."""
+        pmu = self.pmu
+        if pmu.kind is PmuKind.CPU:
+            if pmu.type != core_pmu_type:
+                return None
+            if self.arch_event is not None:
+                return time_s, float(values[self.arch_event])
+        return time_s, None
 
     def _record_overflows(self, now_s: float, cpu: int, tracer=None) -> None:
         """Emit one sample per period crossing within the slice.

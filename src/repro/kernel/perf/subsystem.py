@@ -71,9 +71,12 @@ class _DispatchEntry:
     ``static_active`` is the full active-leader set when no rotation is
     needed (everything fits the counter budget) — the common case, making
     dispatch a dict lookup.  Otherwise ``base_active`` holds the always-on
-    leaders (software/foreign-PMU groups plus granted pinned groups),
-    ``rotating`` the round-robin queue, and the last computed rotation
-    slot is memoized.  Entries are invalidated wholesale by bumping the
+    leaders (software/foreign-PMU groups plus granted pinned groups) and
+    ``rotating`` the round-robin queue; :meth:`slot` maps a thread's
+    runtime to its rotation slot and :meth:`window` a slot to its active
+    set, memoizing the last.  The perf hook and the event engine's spans
+    (which switch the rotating events' increments at each slot change)
+    both call them.  Entries are invalidated wholesale by bumping the
     subsystem's ``_dispatch_gen`` on open/close/ioctl/reserve.
     """
 
@@ -95,6 +98,32 @@ class _DispatchEntry:
         self.budget = 0
         self.last_slot = -1
         self.last_active: Optional[set] = None
+
+    def slot(self, runtime_s: float) -> int:
+        """The rotation slot a thread that has run ``runtime_s`` is in."""
+        return int(runtime_s / MUX_ROTATION_PERIOD_S) % len(self.rotating)
+
+    def window(self, slot: int) -> set:
+        """The active leaders at rotation ``slot``: the always-on ones,
+        then rotating groups from ``slot`` on while they fit the budget
+        (memoized on the slot)."""
+        if slot == self.last_slot:
+            return self.last_active
+        rotating = self.rotating
+        n = len(rotating)
+        active = set(self.base_active)
+        budget = self.budget
+        for i in range(n):
+            ev = rotating[(slot + i) % n]
+            need = ev.hw_counters_needed()
+            if need <= budget:
+                active.add(ev)
+                budget -= need
+            else:
+                break
+        self.last_slot = slot
+        self.last_active = active
+        return active
 
 
 @snapshot_surface(
@@ -587,7 +616,17 @@ class PerfSubsystem:
             entry = self._dispatch_entry(thread.tid, core_pmu_type, events)
             active = entry.static_active
             if active is None:
-                active = self._rotated_active(entry, thread, rec, tr)
+                slot, active = self._rotated_active(entry, thread, tr)
+                if rec is not None:
+                    # A span switches the rotating events' increments at
+                    # each later slot, unless every rotation must be
+                    # traced on the tick it happens.
+                    cells = None
+                    if tr is None:
+                        cells = self._rotating_cells(
+                            entry, events, core_pmu_type, values, time_s
+                        )
+                    rec.mux_guard(thread, entry, slot, cells)
             now_s = self.machine.clock.now_s
             if tr is not None:
                 self._note_pmu_mismatches(events, core_pmu_type, cpu_id, tr)
@@ -686,14 +725,11 @@ class PerfSubsystem:
                     tr.metrics.counter("perf.pmu_mismatches", key=ev.pmu.name)
 
     def _rotated_active(
-        self, entry: _DispatchEntry, thread: "SimThread", rec=None, tr=None
-    ) -> set[KernelPerfEvent]:
-        """Active set under rotation, memoized on the rotation slot."""
+        self, entry: _DispatchEntry, thread: "SimThread", tr=None
+    ) -> tuple[int, set[KernelPerfEvent]]:
+        """The rotation slot of ``thread`` and its active set."""
         rotating = entry.rotating
-        n = len(rotating)
-        slot = int(thread.total_runtime_s / MUX_ROTATION_PERIOD_S) % n
-        if rec is not None:
-            rec.mux_guard(thread, slot, n)
+        slot = entry.slot(thread.total_runtime_s)
         if tr is not None:
             key = (thread.tid, rotating[0].pmu.type)
             if self._mux_traced.get(key) != slot:
@@ -705,25 +741,40 @@ class PerfSubsystem:
                     args={
                         "pmu": rotating[0].pmu.name,
                         "slot": slot,
-                        "groups": n,
+                        "groups": len(rotating),
                     },
                 )
                 tr.metrics.counter("perf.mux_rotations", key=rotating[0].pmu.name)
-        if slot == entry.last_slot:
-            return entry.last_active
-        active = set(entry.base_active)
-        budget = entry.budget
-        for i in range(n):
-            ev = rotating[(slot + i) % n]
-            need = ev.hw_counters_needed()
-            if need <= budget:
-                active.add(ev)
-                budget -= need
-            else:
-                break
-        entry.last_slot = slot
-        entry.last_active = active
-        return active
+        return slot, entry.window(slot)
+
+    @staticmethod
+    def _rotating_cells(
+        entry: _DispatchEntry,
+        events: list[KernelPerfEvent],
+        core_pmu_type: int,
+        values,
+        time_s: float,
+    ) -> Optional[list[tuple]]:
+        """What each rotating group's events add per tick while their
+        group holds counters, as ``(leader, dict, key, increment)``
+        cells of a tick recorder; None while one of them samples (each
+        threshold crossing must run live)."""
+        rotating = set(entry.rotating)
+        cells = []
+        for ev in events:
+            leader = ev.group_leader
+            if leader not in rotating or not ev.enabled or ev.closed:
+                continue
+            if ev._next_overflow is not None:
+                return None
+            adds = ev.counting_adds(core_pmu_type, values, time_s)
+            if adds is None:
+                continue
+            running, inc = adds
+            cells.append((leader, ev.__dict__, "time_running_s", running))
+            if inc is not None:
+                cells.append((leader, ev.__dict__, "count", inc))
+        return cells
 
     def _on_tick(self, machine: "Machine") -> None:
         dt = machine.clock.dt_s

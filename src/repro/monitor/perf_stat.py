@@ -14,6 +14,8 @@ Two modes, like the real tool:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 from repro.kernel.perf.attr import PerfEventAttr
@@ -44,7 +46,7 @@ class PerfStatResult:
     counts: list[PerfStatCount] = field(default_factory=list)
 
     def total(self, event: str) -> float:
-        return sum(c.scaled for c in self.counts if c.event == event)
+        return reduce(add, (c.scaled for c in self.counts if c.event == event), 0)
 
     def by_pmu(self, event: str) -> dict[str, float]:
         out: dict[str, float] = {}

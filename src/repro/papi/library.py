@@ -16,6 +16,8 @@ never the crash).
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.checkpoint.surface import snapshot_surface
@@ -425,7 +427,7 @@ class Papi:
 
     def _combine(self, es: EventSet, slot_values: list[float]) -> list[float]:
         return [
-            sum(slot_values[i] for i in entry.slot_indices)
+            reduce(add, (slot_values[i] for i in entry.slot_indices), 0)
             for entry in es.entries
         ]
 

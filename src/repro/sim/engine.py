@@ -146,6 +146,7 @@ class SimTimeout(RuntimeError):
         "_rate_vecs",
         "_rec",
         "_sched_cache",
+        "_retired",
     ),
     rebuild="_init_snapshot_caches",
     digest_exclude=(
@@ -232,6 +233,9 @@ class Machine:
         """
         self._rate_vecs: dict = {}
         self._rec = None
+        #: Threads retired since this machine was built or restored: an
+        #: ``AllDone`` rescans its threads only once this moved.
+        self._retired = 0
         if getattr(self, "engine", None) == "events":
             self._sched_cache = SchedCache(self.scheduler)
         else:
@@ -483,6 +487,7 @@ class Machine:
                     if buckets:
                         self._flush_slice(thread, core, buckets)
                     thread.state = ThreadState.DONE
+                    self._retired += 1
                     tr = self.tracer
                     if tr is not None and tr.sched:
                         tr.emit("sched", "switch_out", tid=thread.tid, cpu=core.cpu_id)
@@ -793,7 +798,7 @@ class Machine:
     ) -> bool:
         watch = list(threads) if threads is not None else self.threads
         return self.run_until(
-            AllDone(watch),
+            AllDone(watch, self),
             max_s=max_s,
             strict=strict,
             watch=watch,

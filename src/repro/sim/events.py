@@ -21,7 +21,9 @@ the tick holding
   is bit-for-bit the same as a plain tick;
 * the guards that must hold for the *next* tick to be a repeat: spin/
   sleep wake conditions still false, compute phases not completing,
-  multiplexing rotation slot unchanged, DVFS frequencies unchanged;
+  DVFS frequencies unchanged;
+* the multiplexing rotation slot each thread's perf dispatch read, with
+  what its rotating events add while their group holds counters;
 * the (constant) inputs of the power/thermal/governor step, which
   advances *live* on the real objects because RAPL and thermal state are
   genuine per-tick recurrences;
@@ -35,7 +37,6 @@ number of ticks until it next fires:
 
 * **workload phase change** — a compute chain's remaining instructions
   divided by its per-tick retirement;
-* **multiplex rotation** — runtime to the next rotation-slot boundary;
 * **thread wake-up** — an absolute wake time solved exactly against the
   tick grid (``now_s`` is ``ticks * dt_s``, so the crossing tick is a
   pure float comparison, not an accumulation);
@@ -49,11 +50,22 @@ number of ticks until it next fires:
 A span leaps guard-free to a conservative bound just short of the
 earliest event, then polls tick-by-tick through the boundary so the
 event fires on exactly the same tick as the single-tick engine.
-Rate-based bounds (compute, mux, overflow) are shaved by ``_SLACK`` to
-stay provably below the crossing despite float rounding in the replayed
+Rate-based bounds (compute, overflow) are shaved by ``_SLACK`` to stay
+provably below the crossing despite float rounding in the replayed
 accumulations; grid-time bounds (wake, fault) are exact.  Opaque
 predicates — spin ``until`` conditions, conditional faults — cannot
 report a horizon and degrade that span to per-tick polling.
+
+A **multiplex rotation** is a switch, not an event that ends the span
+(:meth:`_Span._rotate`).  Replay adds a thread's recorded runtime
+increments in recorded order, so the tick on which its slot changes is
+known exactly, not estimated; there the span gives the rotating
+events' clock and count cells the increments of the new slot's window
+(the perf layer's ``window``), the ``-0.0`` pad for the groups it
+leaves out, and leaps on.  The span ends at the rotation instead while
+the tracer records ``perf`` (``mux_rotate`` must be emitted on its
+tick), while a rotating event samples, or when a thread's perf
+dispatch ran more than once in the recorded tick.
 
 One loop, :func:`run_budget`, drives every run: it runs a budget of
 ticks.  ``Machine.run_ticks`` hands it a tick count;
@@ -66,9 +78,10 @@ one.  Any other ``run_until`` condition is opaque and runs plain ticks.
 A leap (:meth:`_Span.leap`) costs one pass per target, not one
 operation per target per tick.  It first advances the hardware: in one
 pass per model (RAPL, thermal, the clock) while its ticks are *quiet*,
-that is while no ceiling, scale or frequency can move, then tick by
-tick through the public per-tick methods, stopping after a tick that
-moves a frequency.  Then it applies the ``j`` ticks that ran: a float
+that is while no ceiling, scale or frequency can move, otherwise tick
+by tick through the public per-tick methods, stopping after a tick that
+moves a frequency and returning to the quiet pass after one that moved
+no scale.  Then it applies the ``j`` ticks that ran: a float
 target's ``j`` repeats go through one ``np.add.accumulate`` (a running
 sum rounds exactly as the sequential adds do; see :class:`_Block`), an
 int cell adds ``j * sum(incs)``.  The reordering is exact because
@@ -91,6 +104,7 @@ further optimizations are invisible to the digest law:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -99,10 +113,6 @@ from repro.sim.workload import SleepPhase
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Machine
-
-#: The multiplexing rotation period, duplicated from the perf subsystem
-#: to avoid an import cycle (asserted equal in the test suite).
-MUX_ROTATION_PERIOD_S = 0.004
 
 #: Slack for float time comparisons against tick boundaries (must match
 #: the fault injector's epsilon: time guards reproduce its batch guard).
@@ -181,7 +191,7 @@ class TickRecorder:
         self.blocked: list[tuple] = []          # (thread, SleepPhase|None)
         self.spin_guards: list = []             # until() callables
         self.compute_guards: dict = {}          # id(phase) -> [phase, incs...]
-        self.mux_guards: list[tuple] = []       # (thread, rt_incs, slot, n_rot)
+        self.mux_guards: list[tuple] = []       # (thread, rt_incs, entry, slot, cells)
         self.time_guards: list[float] = []      # absolute due times (s)
         self.overflow_guards: dict = {}         # id(event) -> [event, incs...]
         self.power_inputs = None                # (sample, activity, other_w, util)
@@ -233,10 +243,14 @@ class TickRecorder:
         else:
             lst.append(time_s)
 
-    def mux_guard(self, thread, slot: int, n_rot: int) -> None:
-        """The rotation slot seen by this tick's perf dispatch must repeat."""
+    def mux_guard(self, thread, entry, slot: int, cells) -> None:
+        """The rotation slot this tick's perf dispatch read.  ``entry``
+        maps a runtime to its slot and a slot to its active window;
+        ``cells`` are what the rotating events add while their group is
+        active, ``(leader, dict, key, increment)``, or None if the span
+        must end where the slot changes."""
         incs = tuple(self._rt_incs.get(id(thread), ()))
-        self.mux_guards.append((thread, incs, slot, n_rot))
+        self.mux_guards.append((thread, incs, entry, slot, cells))
 
     def time_guard(self, at_s: float) -> None:
         """The span must end one tick before absolute time ``at_s``
@@ -415,6 +429,17 @@ class _Block:
         self.cap = 0
         self._grow(ticks)
 
+    def columns(self, cells) -> list[int]:
+        """The columns of float cells ``(dict, key)``."""
+        first = self.first_scalar
+        col = {(id(d), key): first + i for i, (d, key) in enumerate(self.floats)}
+        return [col[(id(d), key)] for d, key in cells]
+
+    def rewrite(self, cols: list[int], incs: list[float]) -> None:
+        """Give columns holding one increment per tick new increments."""
+        self.tick[0, cols] = incs
+        self.block[1::self.width, cols] = incs
+
     def _grow(self, ticks: int) -> None:
         """Size the scratch block for ``ticks`` ticks, within the bound."""
         width, k = self.tick.shape
@@ -465,8 +490,40 @@ class _Block:
                 _replay_tick(vecs, cells, chains)
 
 
+class _Rotation:
+    """A thread's multiplex rotation, followed across a span.
+
+    A tick adds ``full`` to the thread's runtime, ``pre`` of it before
+    the perf dispatch reads the slot; replay performs the same adds, so
+    the slot of every later tick is known exactly.  ``adds`` pairs each
+    rotating cell's group leader with its increment while the group is
+    active, and ``incs`` holds the span's per-tick increment list of
+    each cell (one element); both are None if the span must end where
+    the slot changes.
+    """
+
+    __slots__ = ("thread", "pre", "full", "entry", "slot", "keys", "adds",
+                 "incs", "cols")
+
+    def __init__(self, thread, pre, full, entry, slot: int, cells):
+        self.thread = thread
+        self.pre = pre
+        self.full = full
+        self.entry = entry
+        self.slot = slot
+        self.keys = self.adds = self.incs = self.cols = None
+        if cells is not None:
+            self.keys = [(d, key) for _leader, d, key, _inc in cells]
+            self.adds = [(leader, inc) for leader, _d, _key, inc in cells]
+
+
 class _Span:
-    """One recorded steady tick driven by its pending-event queue."""
+    """One recorded steady tick driven by its pending-event queue.
+
+    Its multiplex rotations are not events: the span follows each
+    thread's slot (:class:`_Rotation`) and, on the tick it changes,
+    switches the rotating events' increments and leaps on.
+    """
 
     def __init__(self, machine: "Machine", rec: TickRecorder):
         self.m = machine
@@ -475,6 +532,8 @@ class _Span:
         self.freq_expect = rec.freq_after
         #: Set once a replayed tick moved a DVFS frequency.
         self.ended = False
+        # First: rotations add the pad cells of rotated-out events.
+        self.rotations = self._rotations(rec)
         # Flatten compute/overflow guard chains once.
         self.computes = list(rec.compute_guards.values())
         self.overflows = list(rec.overflow_guards.values())
@@ -482,6 +541,11 @@ class _Span:
         self.cells = [(e[0], e[1], e[2:]) for e in rec.cells.values()]
         self.chains = [(c[0], c[1:]) for c in self.computes]
         self.block: _Block | None = None
+        crossing = [rot for rot in self.rotations if rot.adds is not None]
+        if crossing:
+            incs = {(id(d), key): lst for d, key, lst in self.cells}
+            for rot in crossing:
+                rot.incs = [incs[(id(d), key)] for d, key in rot.keys]
         # Opaque predicates force per-tick polling for the whole span.
         polling = bool(rec.spin_guards)
         if not polling:
@@ -491,10 +555,96 @@ class _Span:
                     break
         self.polling = polling
 
+    @staticmethod
+    def _rotations(rec: TickRecorder) -> list[_Rotation]:
+        """The recorded mux guards as rotations.  A rotation the span
+        crosses owns one float cell per rotating event's clock or count,
+        with one increment per tick: a cell its group left out of the
+        recorded tick joins the recording as the ``-0.0`` pad.  A
+        thread whose perf dispatch ran more than once in the tick gets
+        rotations that end the span instead."""
+        guards = rec.mux_guards
+        per_thread = Counter(id(g[0]) for g in guards)
+        out = []
+        for thread, pre, entry, slot, cells in guards:
+            if len(entry.rotating) == 1:
+                continue  # one slot: nothing ever rotates
+            full = tuple(rec._rt_incs[id(thread)])
+            if per_thread[id(thread)] > 1 or pre != full:
+                cells = None
+            if cells is not None:
+                for _leader, d, key, inc in cells:
+                    cell = rec.cells.get((id(d), key))
+                    if type(d[key]) is not float or type(inc) is not float or (
+                        cell is not None and len(cell) != 3
+                    ):
+                        cells = None
+                        break
+                    if cell is None:
+                        rec.cells[(id(d), key)] = [d, key, -0.0]
+            out.append(_Rotation(thread, pre, full, entry, slot, cells))
+        return out
+
+    def _switch(self, rot: _Rotation, slot: int) -> None:
+        """Give ``rot``'s cells the increments of ``slot``: the counting
+        increment for events its window activates, the pad for the
+        rest."""
+        rot.slot = slot
+        active = rot.entry.window(slot)
+        incs = [inc if leader in active else -0.0 for leader, inc in rot.adds]
+        for lst, inc in zip(rot.incs, incs):
+            lst[0] = inc
+        block = self.block
+        if block is not None:
+            if rot.cols is None:
+                rot.cols = block.columns(rot.keys)
+            block.rewrite(rot.cols, incs)
+
+    def _rotate(self, cap) -> Optional[int]:
+        """Bring every rotation to the slot of the next tick; returns how
+        many ticks from it on keep every slot (1 to ``cap``), or None if
+        the next tick changes a slot the span cannot cross.
+
+        Each slot is read, as the perf dispatch reads it, from the
+        runtime replay will produce: the thread's live runtime plus its
+        recorded increments, added in recorded order.
+        """
+        k = cap
+        for rot in self.rotations:
+            slot_of = rot.entry.slot
+            pre = rot.pre
+            full = rot.full
+            r = rot.thread.total_runtime_s
+            g = r
+            for inc in pre:
+                g = g + inc
+            slot = slot_of(g)
+            if slot != rot.slot:
+                if rot.adds is None:
+                    return None
+                self._switch(rot, slot)
+            j = 1
+            while j < k:
+                r0 = r
+                for inc in full:
+                    r = r + inc
+                if r == r0:
+                    j = k  # the runtime no longer grows
+                    break
+                g = r
+                for inc in pre:
+                    g = g + inc
+                if slot_of(g) != slot:
+                    break
+                j += 1
+            k = j
+        return k
+
     # -- replay --------------------------------------------------------------
 
     def guards_hold(self) -> bool:
-        """True if the next tick would repeat the recorded one exactly."""
+        """True if the next tick would repeat the recorded one exactly
+        (rotations aside: :meth:`_rotate` has brought them to its slot)."""
         rec = self.rec
         now_s = self.m.clock.now_s
         if rec.time_guards:
@@ -521,12 +671,6 @@ class _Span:
                 r = r - e
                 if r <= 0.0:
                     return False  # would complete exactly
-        for thread, rt_incs, slot, n_rot in rec.mux_guards:
-            r = thread.total_runtime_s
-            for inc in rt_incs:
-                r = r + inc
-            if int(r / MUX_ROTATION_PERIOD_S) % n_rot != slot:
-                return False
         for chain in self.overflows:
             event = chain[0]
             threshold = event._next_overflow
@@ -551,10 +695,11 @@ class _Span:
         Thermal then reports how many ticks its grants hold, RAPL
         advances up to that many while its scale holds, and thermal and
         the clock commit the ticks RAPL advanced, each model in one pass
-        over its own state.  The first tick that is not quiet, and the rest of
-        the leap, step through the public per-tick methods, stopping
-        after a tick that moves a DVFS frequency, which ends the span;
-        so does a whole leap while the tracer records ``rapl``,
+        over its own state (:meth:`_quiet`).  A tick that is not quiet
+        steps through the public per-tick methods, stopping after a tick
+        that moves a DVFS frequency, which ends the span; after one that
+        moved no scale either, the quiet pass is tried again.  A whole
+        leap steps tick by tick while the tracer records ``rapl``,
         ``thermal`` or ``dvfs`` (those methods emit every tick).
         Then the ``j`` ticks that ran are applied to the recorded
         targets.  The reordering is exact: nothing else runs inside a
@@ -566,26 +711,22 @@ class _Span:
         package_w = sample.package_w
         cores_w = sample.cores_w
         dram_w = sample.dram_w
+        rapl = m.rapl
         thermal = m.thermal
-        clock = m.clock
-        dt = clock.dt_s
-        j = 0
+        dt = m.clock.dt_s
         tr = m.tracer
-        if tr is None or not (tr.rapl or tr.thermal or tr.dvfs):
-            j = thermal.quiet_ticks(cluster_activity, other_w, package_w, dt, n)
-            if j:
-                j = m.rapl.advance_quiet(package_w, cores_w, dram_w, dt, j)
-                if j:
-                    thermal.advance_quiet(package_w, dt, j)
-                    clock.advance(j)
-        rapl_step = m.rapl.step
+        quiet = tr is None or not (tr.rapl or tr.thermal or tr.dvfs)
+        j = self._quiet(n) if quiet else 0
+        rapl_step = rapl.step
         thermal_step = thermal.step
         throttle = thermal.apply_throttling
         governor = m.governor
         update = governor.update
-        advance = clock.advance
+        advance = m.clock.advance
         expect = self.freq_expect
         while j < n:
+            if quiet:
+                held = (rapl.scale, thermal.scales)
             j += 1
             rapl_step(governor, package_w, cores_w, dram_w, dt)
             thermal_step(package_w, dt)
@@ -595,6 +736,8 @@ class _Span:
             if governor.freq_mhz != expect:
                 self.ended = True
                 break
+            if quiet and j < n and held == (rapl.scale, thermal.scales):
+                j += self._quiet(n - j)
         if j < _BULK_MIN:
             for _ in range(j):
                 _replay_tick(self.vecs, self.cells, self.chains)
@@ -602,6 +745,21 @@ class _Span:
             if self.block is None:
                 self.block = _Block(self.vecs, self.cells, self.chains, j)
             self.block.apply(j)
+        return j
+
+    def _quiet(self, n: int) -> int:
+        """Advance the hardware through up to ``n`` quiet ticks, one pass
+        per model; returns how many ran."""
+        m = self.m
+        sample, cluster_activity, other_w, _util = self.rec.power_inputs
+        package_w = sample.package_w
+        dt = m.clock.dt_s
+        j = m.thermal.quiet_ticks(cluster_activity, other_w, package_w, dt, n)
+        if j:
+            j = m.rapl.advance_quiet(package_w, sample.cores_w, sample.dram_w, dt, j)
+            if j:
+                m.thermal.advance_quiet(package_w, dt, j)
+                m.clock.advance(j)
         return j
 
     # -- the pending-event queue --------------------------------------------
@@ -620,7 +778,9 @@ class _Span:
         return j
 
     def horizon(self) -> int | None:
-        """Ticks to the earliest pending event (None: nothing pending)."""
+        """Ticks to the earliest pending event (None: nothing pending).
+        Rotations are not events here: :meth:`_rotate` bounds a leap by
+        the next slot change separately."""
         rec = self.rec
         nearest: int | None = None
 
@@ -632,26 +792,6 @@ class _Span:
             if step <= 0.0:
                 continue
             k = int(chain[0].remaining / (step * (1.0 + _SLACK))) - 2
-            if k < 0:
-                k = 0
-            if nearest is None or k < nearest:
-                nearest = k
-
-        # Multiplex rotation: predicted runtime crosses a slot boundary.
-        for thread, rt_incs, slot, n_rot in rec.mux_guards:
-            if n_rot <= 1:
-                continue
-            step = 0.0
-            v = thread.total_runtime_s
-            for inc in rt_incs:
-                step += inc
-                v = v + inc
-            if int(v / MUX_ROTATION_PERIOD_S) % n_rot != slot:
-                return 0  # the very next tick already rotates
-            if step <= 0.0:
-                continue
-            boundary = (int(v / MUX_ROTATION_PERIOD_S) + 1) * MUX_ROTATION_PERIOD_S
-            k = int((boundary - v) / (step * (1.0 + _SLACK))) - 2
             if k < 0:
                 k = 0
             if nearest is None or k < nearest:
@@ -699,12 +839,21 @@ class _Span:
     # -- span driver ---------------------------------------------------------
 
     def drive(self, left: float) -> float:
-        """Replay up to ``left`` ticks; returns the ticks still owed."""
+        """Replay up to ``left`` ticks; returns the ticks still owed.
+
+        Each leap runs to the nearest pending event or slot change,
+        whichever comes first; the next one starts in the new slot."""
         while left > 0 and not self.ended:
             k = 0 if self.polling else self.horizon()
             if k is None or k > left:
                 k = left
-            elif k <= 0:
+            if self.rotations:
+                held = self._rotate(k if k > 0 else 1)
+                if held is None:
+                    break
+                if held < k:
+                    k = held
+            if k <= 0:
                 # Boundary region: step through it under full polling.
                 if not self.guards_hold():
                     break
@@ -719,16 +868,24 @@ class AllDone:
     Unlike an opaque predicate it cannot change inside a span: a thread
     retires only at a phase boundary, which kills the recorder.
     :func:`run_budget` therefore checks it between spans and lets each
-    span leap straight to the deadline.
+    span leap straight to the deadline.  It rescans the threads only
+    after the machine retired one since the last scan.
     """
 
-    __slots__ = ("threads",)
+    __slots__ = ("threads", "machine", "_seen", "_done")
 
-    def __init__(self, threads):
+    def __init__(self, threads, machine: "Machine"):
         self.threads = threads
+        self.machine = machine
+        self._seen = -1
+        self._done = False
 
     def __call__(self) -> bool:
-        return all(t.done for t in self.threads)
+        retired = self.machine._retired
+        if retired != self._seen:
+            self._seen = retired
+            self._done = all(t.done for t in self.threads)
+        return self._done
 
 
 class SchedCache:

@@ -36,6 +36,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Optional
 
 from repro.hw.coretype import ArchEvent, CoreType
@@ -397,7 +399,7 @@ def _run_matrix_once(
                 ct_name = None
             elif pmu == "uncore_llc":
                 # The uncore PMU counts every core in the package.
-                expected = sum(v[arch] for v in expect_vecs.values())
+                expected = reduce(add, (v[arch] for v in expect_vecs.values()), 0)
                 ct_name = None
             else:
                 expected = expect_vecs[plan.core_type.name][arch]

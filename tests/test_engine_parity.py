@@ -185,6 +185,43 @@ class TestSteadyScenarios:
         assert real_e < ticks_e // 10
         _assert_systems_identical(ss, se)
 
+    def test_all_done_rescans_only_after_a_retirement(self, monkeypatch):
+        """``run_until_done``'s condition looks at its threads again only
+        once the machine retired one: a staggered finish scans them once
+        per retirement, plus the first check, on both engines."""
+        scans = [0]
+        done = SimThread.done
+
+        def counted(thread):
+            scans[0] += 1
+            return done.fget(thread)
+
+        monkeypatch.setattr(SimThread, "done", property(counted))
+
+        def build(system):
+            scans[0] = 0
+            ts = [
+                system.machine.spawn(
+                    SimThread(
+                        f"w{i}",
+                        Program([
+                            ComputePhase(1e9 * (i + 1), constant_rates(RATES)),
+                            SleepPhase(duration_s=0.01),
+                            ComputePhase(1e8, constant_rates(RATES)),
+                        ]),
+                    )
+                )
+                for i in range(3)
+            ]
+            assert system.machine.run_until_done(ts, max_s=10)
+            return scans[0]
+
+        (ss, slow), (se, fast) = _run_matrix(build, dt_s=0.001)
+        # One scan stops at the first unfinished thread; the last sees
+        # all three done.
+        assert slow <= 3 * 4 and fast <= 3 * 4
+        _assert_systems_identical(ss, se)
+
     def test_run_until_cooldown_parity(self):
         (ss, _), (se, _) = _run_matrix(lambda s: None, dt_s=0.01)
         for system in (ss, se):
@@ -283,12 +320,6 @@ class TestMultiplexedBatching:
     """Satellite regression: enabled/running scaling of multiplexed
     events must accrue identically when ticks are replayed in a span."""
 
-    def test_mux_rotation_constants_agree(self):
-        from repro.kernel.perf import subsystem
-        from repro.sim import events
-
-        assert events.MUX_ROTATION_PERIOD_S == subsystem.MUX_ROTATION_PERIOD_S
-
     def test_mux_scaling_parity_across_batches(self):
         """Three events time-sharing one counter across a long steady
         compute phase: both engines must agree bit-for-bit on value,
@@ -328,8 +359,8 @@ class TestMultiplexedBatching:
         _assert_systems_identical(ss, se)
 
     def test_mux_batch_engages_while_rotating(self):
-        """Rotation alone must not kill replay: the rotation slot is a
-        replay guard, so spans end at slot boundaries, not every tick."""
+        """Rotation alone must not end a span: at each slot change the
+        span switches the rotating events' increments and leaps on."""
         system = System(MACHINE, dt_s=0.0001)
         glc = system.perf.registry.by_name["cpu_core"]
         system.perf.reserve_counters("cpu_core", glc.n_counters + glc.n_fixed - 1)
@@ -347,9 +378,180 @@ class TestMultiplexedBatching:
             system.machine, lambda: system.machine.run_ticks(2000)
         )
         assert ticks == 2000
-        # A 4 ms rotation period at 0.1 ms ticks ⇒ roughly one real tick
-        # per 40-tick slot, not one per tick.
-        assert real < 600
+        # Fifty 40-tick rotation slots, crossed inside one span: a few
+        # real ticks record it, none restart it at a slot boundary.
+        assert real <= 5
+
+    def test_scorecard_mux_run_is_one_span(self, monkeypatch):
+        """The scorecard's multiplexed run (24 rotating groups, about 60
+        slot changes) records a handful of real ticks in all."""
+        from repro.sim.engine import Machine
+        from repro.validate import harness
+
+        real = [0]
+        tick = Machine.tick
+
+        def counted(machine):
+            real[0] += 1
+            tick(machine)
+
+        monkeypatch.setattr(Machine, "tick", counted)
+        harness._run_mux_once("raptor-lake-i7-13700", None, 0, 1e-4)
+        assert real[0] <= 6
+
+
+def _reads(system):
+    """Every open perf fd's read value, in fd order."""
+    return [system.perf.read(fd) for fd in sorted(system.perf._fds)]
+
+
+class TestRotationCrossing:
+    """A span crosses multiplex rotations: on the exact tick a thread's
+    slot changes, its rotating events' per-tick increments switch to the
+    new slot's window, and the span leaps on.  Every layout below must
+    be bit-identical to the single-tick reference, whole
+    ``PerfReadValue``s included, and each crossing layout must really
+    cross (few real ticks for many rotations)."""
+
+    @staticmethod
+    def _thread(system, name, cpu, instructions=2e9, sleep_s=None):
+        phases = [ComputePhase(instructions, constant_rates(RATES))]
+        if sleep_s is not None:
+            phases.insert(0, SleepPhase(duration_s=sleep_s))
+        return system.machine.spawn(SimThread(name, Program(phases), affinity={cpu}))
+
+    @staticmethod
+    def _leave(system, pmu_name, n):
+        pmu = system.perf.registry.by_name[pmu_name]
+        system.perf.reserve_counters(pmu_name, pmu.n_counters + pmu.n_fixed - n)
+
+    @staticmethod
+    def _parity(build, dt_s=1e-4):
+        """Run the threads ``build(system)`` returns for 1,300 ticks,
+        mid-phase and mid-slot, then to completion, on both engines;
+        the reads must match at both points.  (Three groups taking one
+        40-tick slot each return to their window every 120 ticks, so a
+        tick early or late at each switch would cancel out at 1,240,
+        but not at 1,300.)  Returns the event engine's
+        final reads, real ticks and ticks."""
+        out = []
+        for engine in ENGINES:
+            system = System(MACHINE, engine=engine, dt_s=dt_s)
+            m = system.machine
+            threads = build(system)
+            real, ticks = _replayed(m, lambda: m.run_ticks(1300))
+            assert not any(t.done for t in threads)
+            mid = _reads(system)
+            real2, ticks2 = _replayed(m, lambda: m.run_until_done(threads, max_s=10))
+            out.append((system, mid, _reads(system), real + real2, ticks + ticks2))
+        (ss, mid_slow, r_slow, _, n_slow), (se, mid_ev, r_ev, real, n_ev) = out
+        assert n_slow == n_ev
+        assert mid_slow == mid_ev
+        assert r_slow == r_ev
+        assert any(0 < rv.time_running_ns < rv.time_enabled_ns for rv in r_ev)
+        _assert_systems_identical(ss, se)
+        return r_ev, real, n_ev
+
+    def test_multiplexed_eventset_across_many_rotations(self):
+        def build(system):
+            papi = Papi(system)
+            t = self._thread(system, "app", system.topology.cpus_of_type("P-core")[0])
+            es = papi.create_eventset()
+            papi.attach(es, t)
+            papi.set_multiplex(es)
+            for name in ("INST_RETIRED:ANY", "BR_INST_RETIRED:ALL_BRANCHES"):
+                for _ in range(8):
+                    papi.add_event(es, f"adl_glc::{name}")
+            papi.start(es)
+            return [t]
+
+        _, real, ticks = self._parity(build)
+        assert ticks > 40 * 40 and real <= 8
+
+    def test_two_threads_rotating_on_different_ticks(self):
+        """A sleep shifts the second thread's runtime by a fraction of a
+        rotation period, so the two threads change slot on different
+        ticks of one span."""
+
+        def build(system):
+            self._leave(system, "cpu_core", 2)
+            self._leave(system, "cpu_atom", 1)
+            ts = [
+                self._thread(system, "p", system.topology.cpus_of_type("P-core")[0]),
+                self._thread(
+                    system, "e", system.topology.cpus_of_type("E-core")[0],
+                    sleep_s=0.0013,
+                ),
+            ]
+            for t, pmu, n in ((ts[0], "cpu_core", 5), (ts[1], "cpu_atom", 3)):
+                for _ in range(n):
+                    _open_counting(system, pmu, t.tid)
+            return ts
+
+        _, real, ticks = self._parity(build)
+        assert ticks > 40 * 40 and real <= 14
+
+    def test_pinned_groups_beside_rotating_groups(self):
+        def build(system):
+            self._leave(system, "cpu_core", 3)
+            t = self._thread(system, "app", system.topology.cpus_of_type("P-core")[0])
+            _open_counting(system, "cpu_core", t.tid, config=0x003C, pinned=True)
+            for config in (0x00C0, 0x00C4, 0x00C5, 0x412E):
+                _open_counting(system, "cpu_core", t.tid, config=config)
+            return [t]
+
+        reads, real, _ = self._parity(build)
+        pinned = reads[0]
+        assert pinned.time_running_ns == pinned.time_enabled_ns
+        assert real <= 8
+
+    def test_multi_event_groups_rotate(self):
+        """Groups of three counters (and a software member, which runs
+        but counts nothing itself) rotate through a four-counter budget
+        one group at a time."""
+        from repro.kernel.perf.attr import SwConfig
+
+        def build(system):
+            self._leave(system, "cpu_core", 4)
+            t = self._thread(system, "app", system.topology.cpus_of_type("P-core")[0])
+            for configs in ((0x00C0, 0x00C4, 0x00C5), (0x003C, 0x4F2E, 0x412E),
+                            (0x01C7, 0x1F24, 0x3F24)):
+                leader = _open_counting(system, "cpu_core", t.tid, config=configs[0])
+                for config in configs[1:]:
+                    _open_counting(system, "cpu_core", t.tid, config, group_fd=leader)
+                _open_counting(system, "software", t.tid, int(SwConfig.TASK_CLOCK),
+                               group_fd=leader)
+            return [t]
+
+        _, real, ticks = self._parity(build)
+        assert ticks > 40 * 40 and real <= 8
+
+    def test_rotating_sampling_event_ends_spans_at_rotations(self):
+        """Each threshold crossing of a rotating sampling event must run
+        live, so these spans end where the slot changes instead."""
+
+        def build(system):
+            self._leave(system, "cpu_core", 1)
+            t = self._thread(system, "app", system.topology.cpus_of_type("P-core")[0])
+            _open_counting(system, "cpu_core", t.tid, sample_period=50_000_000)
+            for _ in range(2):
+                _open_counting(system, "cpu_core", t.tid)
+            return [t]
+
+        _, real, ticks = self._parity(build)
+        rotations = ticks * 1e-4 / 0.004
+        assert real > rotations / 2
+
+    def test_one_counter_left_by_a_reservation(self):
+        def build(system):
+            self._leave(system, "cpu_core", 1)
+            t = self._thread(system, "app", system.topology.cpus_of_type("P-core")[0])
+            for config in (0x00C0, 0x00C4, 0x003C):
+                _open_counting(system, "cpu_core", t.tid, config=config)
+            return [t]
+
+        _, real, ticks = self._parity(build)
+        assert ticks > 40 * 40 and real <= 8
 
 
 class TestBulkReplay:
@@ -586,6 +788,38 @@ class TestQuietHardware:
             model == "thermal-commit" and 0 < events < j
             for model, _n, j, events in log
         ), log
+
+    def test_quiet_pass_resumes_once_the_scale_settles(self, monkeypatch):
+        """RAPL's scale slides to its floor over a few per-tick steps that
+        move no frequency; once it holds, the rest of the leap takes the
+        quiet pass again instead of stepping every tick."""
+        import dataclasses
+
+        from repro.hw.machines import MACHINE_PRESETS
+        from repro.hw.rapl import RaplPackage
+        from repro.sim.engine import Machine
+
+        calls = {"step": 0, "tick": 0}
+        step = RaplPackage.step
+        tick = Machine.tick
+
+        def counted_step(self, *args):
+            calls["step"] += 1
+            step(self, *args)
+
+        def counted_tick(machine):
+            calls["tick"] += 1
+            tick(machine)
+
+        monkeypatch.setattr(RaplPackage, "step", counted_step)
+        monkeypatch.setattr(Machine, "tick", counted_tick)
+        spec = dataclasses.replace(MACHINE_PRESETS[MACHINE](), rapl_pl1_w=1.0)
+        _ss, se = self._pinned(
+            spec, lambda topo: topo.cpus_of_type("E-core")[:2], 0.05, [600]
+        )
+        assert se.machine.rapl.scale == 0.05
+        events_calls = {k: v - 600 for k, v in calls.items()}  # minus ticks engine
+        assert events_calls["step"] - events_calls["tick"] <= 20
 
     def test_steady_leap_steps_rapl_only_on_full_ticks(self, monkeypatch):
         from repro.hw.rapl import RaplPackage
@@ -1042,13 +1276,16 @@ class TestTraceAndCheckpointMatrix:
         assert ref.state_digest() == se.state_digest()
 
 
-def _open_counting(system, pmu_name, tid, config=0x00C0):
+def _open_counting(system, pmu_name, tid, config=0x00C0, group_fd=-1, **attr_kw):
     from repro.kernel.perf import PerfEventAttr
     from repro.kernel.perf.subsystem import PerfIoctl
 
     ptype = system.perf.registry.by_name[pmu_name].type
     fd = system.perf.perf_event_open(
-        PerfEventAttr(type=ptype, config=config), pid=tid, cpu=-1
+        PerfEventAttr(type=ptype, config=config, **attr_kw),
+        pid=tid,
+        cpu=-1,
+        group_fd=group_fd,
     )
     system.perf.ioctl(fd, PerfIoctl.ENABLE)
     return fd

@@ -95,6 +95,23 @@ class TestPower:
         spinning = model.sample_activity(idle, full, freqs).package_w
         assert spinning < model.sample_activity(full, idle, freqs).package_w
 
+    def test_float_sums_add_left_to_right(self):
+        """Power and perf-stat totals add in order on every CPython: a
+        compensated sum (3.12's ``sum()``) would keep the 1.0 that
+        sequential float adds round away."""
+        from repro.hw.power import PowerSample
+        from repro.monitor.perf_stat import PerfStatCount, PerfStatResult
+
+        parts = [1e16, 1.0, -1e16]
+        sample = PowerSample(
+            package_w=0.0, per_cluster_w=parts, uncore_w=0.0, dram_w=0.0
+        )
+        assert sample.cores_w == 0.0
+        stat = PerfStatResult(
+            [PerfStatCount("e", "cpu", x, x, 1.0, 1.0) for x in parts]
+        )
+        assert stat.total("e") == 0.0
+
 
 # ---------------------------------------------------------------- thermal
 
